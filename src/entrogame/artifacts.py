@@ -176,10 +176,7 @@ def read_density(csv_path):
 
 def write_ulam(matrix, csv_path, provenance=None):
     """Sparse triplet export ``row,col,value`` with a metadata sidecar."""
-    rows = []
-    nz_r, nz_c = np.nonzero(matrix.counts)
-    for r, c in zip(nz_r, nz_c):
-        rows.append((int(r), int(c), matrix.entries[r, c]))
+    rows = zip(matrix.rows.tolist(), matrix.cols.tolist(), matrix.values.tolist())
     write_csv(csv_path, ["row", "col", "value"], rows)
     payload = {
         "kind": "ulam",

@@ -31,7 +31,7 @@ def _build_parser():
     common.add_argument("--config", required=True, help="scenario JSON file")
     common.add_argument("--out", default=None, help="artifact directory (overrides config)")
     common.add_argument("--seed", type=int, default=None, help="override the perturb seed")
-    common.add_argument("--threads", type=int, default=1, help="worker threads for row builds")
+    common.add_argument("--threads", type=int, default=1, help="accepted for compatibility; builds run in one thread")
     common.add_argument(
         "--kl-floor",
         nargs="?",

@@ -3,10 +3,10 @@
 The perturbed state follows ``dZ = M(t) Z dt + sqrt(eps) sigma dW`` with
 the closed-loop drift ``M``.  Paths are simulated with the explicit
 Euler-Maruyama scheme.  Every path draws its normals from a counter-based
-generator keyed by ``(seed, cell, path)``; the step index is the position
-in that stream.  Draws therefore never depend on scheduling, so ensembles,
-grid-operator builds and full resilience reports are bit-identical for any
-thread count.
+Philox stream keyed by ``(seed, cell, path)``; the step index is the
+position in that stream.  Draws therefore never depend on scheduling or
+batching, so ensembles, grid-operator builds and full resilience reports
+are bit-identical for any thread count.
 
 The perturbed grid operator is a Monte Carlo variant of the deterministic
 cell-counting build: at least 100 paths per cell start on a stratified
@@ -15,21 +15,20 @@ in-cell pattern and row entries count endpoint destinations.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .entropy import relative_entropy
-from .errors import ConfigurationError, DivergenceError, DomainEscapeError
+from .errors import ConfigurationError, DivergenceError
 from .game import OperatorCache
 from .system import closed_loop_matrix
 from .transfer import (
     DensityVector,
-    UlamMatrix,
     apply_fp,
     l1_distance,
     stationary_density,
+    ulam_from_destinations,
 )
 
 __all__ = [
@@ -103,13 +102,31 @@ class SdePathConfig:
             raise ConfigurationError(f"seed: must be >= 0, got {self.seed!r}")
 
 
-def _path_generator(seed, cell, path):
-    """Counter-based stream for one path; key packs (seed, cell, path)."""
-    key = np.array(
-        [np.uint64(seed), (np.uint64(cell) << np.uint64(32)) | np.uint64(path)],
-        dtype=np.uint64,
-    )
-    return np.random.Generator(np.random.Philox(key=key))
+_UINT64_MASK = (1 << 64) - 1
+_ZERO_WORDS = np.zeros(4, dtype=np.uint64)
+
+
+def _stream_key(seed, cell, path):
+    """Philox key of one path: ``[seed, cell << 32 | path]`` in uint64."""
+    word = ((int(cell) << 32) | int(path)) & _UINT64_MASK
+    return np.array([int(seed), word], dtype=np.uint64)
+
+
+def _reset_stream(gen, seed, cell, path):
+    """Rewind ``gen`` to the start of the ``(seed, cell, path)`` stream.
+
+    Draws then match a fresh ``Generator(Philox(key=_stream_key(...)))``
+    bit for bit, at a fraction of the cost of building one per path.
+    """
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZERO_WORDS, "key": _stream_key(seed, cell, path)},
+        "buffer": _ZERO_WORDS,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return gen
 
 
 def _step_matrices(system, profile, h, n_steps):
@@ -166,6 +183,7 @@ def _integrate_paths(system, profile, noise, eps, starts, h, n_steps, seed, cell
     )
 
     endpoints = np.empty((n, d))
+    gen = np.random.Generator(np.random.Philox(0))
     chunk = max(1, min(n, _CHUNK_ENTRIES // max(1, n_steps * d)))
     for lo in range(0, n, chunk):
         hi = min(n, lo + chunk)
@@ -173,7 +191,7 @@ def _integrate_paths(system, profile, noise, eps, starts, h, n_steps, seed, cell
         if noisy:
             xi = np.empty((hi - lo, n_steps, d))
             for p in range(lo, hi):
-                xi[p - lo] = _path_generator(seed, cell, p).standard_normal((n_steps, d))
+                _reset_stream(gen, seed, cell, p).standard_normal(out=xi[p - lo])
         for k in range(n_steps):
             Z = Z + (Z @ mats_t[seg_of_step[k]]) * h
             if noisy:
@@ -206,7 +224,8 @@ def simulate_sde(system, profile, noise, eps, x0, path_cfg, path=0, cell=0):
         system, profile, noise, eps, d, h, n_steps
     )
     if noisy:
-        xi = _path_generator(path_cfg.seed, cell, path).standard_normal((n_steps, d))
+        key = _stream_key(path_cfg.seed, cell, path)
+        xi = np.random.Generator(np.random.Philox(key=key)).standard_normal((n_steps, d))
     Z = x0[None, :].copy()
     trajectory = np.empty((n_steps + 1, d))
     trajectory[0] = Z[0]
@@ -262,8 +281,8 @@ def build_stochastic_ulam(
     stratified in-cell start pattern; row entries are endpoint destination
     counts over paths.  The number of steps is ``round(t / h)`` with the
     step size adjusted to land on ``t`` exactly.  Rows are built per cell
-    with streams keyed ``(seed, cell, path)``, so any thread count produces
-    the identical matrix.
+    with streams keyed ``(seed, cell, path)``.  ``threads`` is accepted for
+    compatibility and ignored; the matrix never depended on it.
 
     Raises ``DomainEscapeError`` if any row loses more than ``leak_tol``
     of its paths past the box.
@@ -278,44 +297,23 @@ def build_stochastic_ulam(
     n_steps = max(1, int(round(t / path_cfg.h)))
     h_eff = t / n_steps
 
-    M = partition.cell_count
     n_paths = path_cfg.n_paths
     offsets = _stratified_starts(partition, n_paths)
     corners = partition.lower + partition.multi_indices() * partition.widths
-    counts = np.zeros((M, M), dtype=np.int64)
-
-    def fill(cells):
-        for i in cells:
-            ends = _integrate_paths(
-                system, profile, noise, eps, corners[i] + offsets,
-                h_eff, n_steps, path_cfg.seed, i,
-            )
-            dest = partition.locate(ends)
-            inside = dest >= 0
-            counts[i] = np.bincount(dest[inside], minlength=M)
-
-    if threads is None or threads <= 1:
-        fill(range(M))
-    else:
-        chunks = np.array_split(np.arange(M), min(threads, M))
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, chunks))
-
-    escaped = n_paths - counts.sum(axis=1)
-    worst = int(np.argmax(escaped))
-    worst_leak = escaped[worst] / n_paths
-    if worst_leak > leak_tol:
-        raise DomainEscapeError(
-            f"cell {worst} lost {worst_leak:.4f} of its paths past the domain "
-            f"(tolerance {leak_tol})",
-            cell=worst,
-            leakage=float(worst_leak),
+    dest = np.empty((partition.cell_count, n_paths), dtype=np.int64)
+    for i, corner in enumerate(corners):
+        ends = _integrate_paths(
+            system, profile, noise, eps, corner + offsets,
+            h_eff, n_steps, path_cfg.seed, i,
         )
-    return UlamMatrix(
+        dest[i] = partition.locate(ends)
+    return ulam_from_destinations(
         partition,
-        counts,
-        samples_per_cell=n_paths,
+        dest,
         leak_tol=leak_tol,
+        escape_message=(
+            "cell {cell} lost {leak:.4f} of its paths past the domain (tolerance {tol})"
+        ),
         t0=0.0,
         t1=float(t),
         flow_id=f"sde:eps={eps:.12g}:seed={path_cfg.seed}:{profile.hash_hex()}",

@@ -9,16 +9,21 @@ fraction of cell ``i`` samples landing in each destination cell.  Mass that
 leaves the box is tracked per row as leakage instead of being silently
 renormalised away.
 
+A row holds only the few cells its samples reach, so the operator is kept
+in compressed sparse row form, built in one pass by counting the distinct
+``(row, destination)`` keys of all sample images.  No ``M x M`` array is
+formed on any production path.
+
 The matrix acts in two dual ways: on densities (push-forward, transposed
 action on cell masses) and on observables (composition, plain action).
-Volume-weighted inner products make the two actions adjoint up to rounding.
+Both are one weighted ``bincount`` over the nonzeros.  Volume-weighted
+inner products make the two actions adjoint up to rounding.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,8 +40,10 @@ __all__ = [
     "DensityVector",
     "ObservableVector",
     "UlamMatrix",
+    "SparseCounts",
     "StationaryResult",
     "build_ulam",
+    "ulam_from_destinations",
     "apply_fp",
     "apply_koopman",
     "adjoint_residual",
@@ -216,56 +223,136 @@ class ObservableVector:
         object.__setattr__(self, "values", vals)
 
 
-@dataclass(frozen=True, eq=False)
+class SparseCounts(NamedTuple):
+    """Nonzero counts of an Ulam matrix, row-major with ascending columns."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    hits: np.ndarray
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class UlamMatrix:
     """Row-substochastic cell transition matrix with per-row leakage.
 
-    ``counts[i, j]`` is the number of cell-``i`` sample points whose image
-    landed in cell ``j``; ``samples_per_cell`` is the common row total, so
-    ``counts.sum(axis=1) + escaped == samples_per_cell`` holds exactly in
-    integer arithmetic.  ``entries`` and ``leakage`` are the corresponding
-    fractions.
+    The matrix is stored in compressed sparse row form: nonzero ``k`` says
+    that ``hits[k]`` of the ``samples_per_cell`` sample points of cell
+    ``rows[k]`` landed in cell ``cols[k]``, and ``values[k]`` is that
+    fraction.  Nonzeros are row-major with ascending columns.  ``escaped[i]``
+    counts the cell-``i`` samples that left the box, so a row's hits plus
+    its ``escaped`` equal ``samples_per_cell`` exactly in integer
+    arithmetic; ``leakage`` is the escaped fraction.
+
+    ``counts`` is either a dense ``(M, M)`` integer array or a
+    :class:`SparseCounts` triple.  The dense views :attr:`counts` and
+    :attr:`entries` are rebuilt on every access and meant for small grids.
     """
 
     partition: Partition
-    counts: np.ndarray
     samples_per_cell: int
-    leak_tol: float = DEFAULT_LEAK_TOL
-    t0: float = 0.0
-    t1: float = 0.0
-    flow_id: str = ""
-    entries: np.ndarray = field(init=False)
-    leakage: np.ndarray = field(init=False)
-    escaped: np.ndarray = field(init=False)
+    leak_tol: float
+    t0: float
+    t1: float
+    flow_id: str
+    rows: np.ndarray
+    cols: np.ndarray
+    hits: np.ndarray
+    values: np.ndarray
+    escaped: np.ndarray
+    leakage: np.ndarray
 
-    def __post_init__(self):
-        M = self.partition.cell_count
-        counts = np.asarray(self.counts, dtype=np.int64)
-        if counts.shape != (M, M):
-            raise ConfigurationError(
-                f"ulam: counts shape {counts.shape} does not match ({M}, {M})"
-            )
-        if np.any(counts < 0):
+    def __init__(
+        self,
+        partition,
+        counts,
+        samples_per_cell,
+        leak_tol=DEFAULT_LEAK_TOL,
+        t0=0.0,
+        t1=0.0,
+        flow_id="",
+    ):
+        M = partition.cell_count
+        if isinstance(counts, SparseCounts):
+            rows, cols, hits = (np.array(a, dtype=np.int64) for a in counts)
+            if not (rows.ndim == 1 and rows.shape == cols.shape == hits.shape):
+                raise ConfigurationError("ulam: sparse rows, cols and hits must be equal-length 1-d")
+            if np.any((rows < 0) | (rows >= M) | (cols < 0) | (cols >= M)):
+                raise ConfigurationError(f"ulam: a sparse cell index lies outside 0..{M - 1}")
+            if np.any(np.diff(rows * M + cols) <= 0):
+                raise ConfigurationError("ulam: sparse counts must be row-major without repeats")
+            if np.any(hits == 0):
+                raise ConfigurationError("ulam: sparse counts must not store zeros")
+        else:
+            dense = np.asarray(counts, dtype=np.int64)
+            if dense.shape != (M, M):
+                raise ConfigurationError(
+                    f"ulam: counts shape {dense.shape} does not match ({M}, {M})"
+                )
+            rows, cols = np.nonzero(dense)
+            hits = dense[rows, cols]
+        if np.any(hits < 0):
             raise ConfigurationError("ulam: counts must be nonnegative")
-        total = int(self.samples_per_cell)
+        total = int(samples_per_cell)
         if total < 1:
             raise ConfigurationError("ulam: samples_per_cell must be >= 1")
-        row_sums = counts.sum(axis=1)
+        # The float sums are exact while a row total stays below 2**53.
+        row_sums = np.bincount(rows, weights=hits, minlength=M).astype(np.int64)
         if np.any(row_sums > total):
             raise ConfigurationError("ulam: a row exceeds samples_per_cell")
-        counts = counts.copy()
-        counts.setflags(write=False)
-        escaped = (total - row_sums).astype(np.int64)
-        escaped.setflags(write=False)
-        entries = counts / total
+        escaped = total - row_sums
+        fields = {
+            "partition": partition,
+            "samples_per_cell": total,
+            "leak_tol": leak_tol,
+            "t0": t0,
+            "t1": t1,
+            "flow_id": flow_id,
+            "rows": rows,
+            "cols": cols,
+            "hits": hits,
+            "values": hits / total,
+            "escaped": escaped,
+            "leakage": escaped / total,
+        }
+        for name, value in fields.items():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+    @property
+    def shape(self):
+        """``(M, M)`` for ``M`` cells."""
+        M = self.partition.cell_count
+        return (M, M)
+
+    @property
+    def counts(self):
+        """Dense ``(M, M)`` integer counts, built on each access."""
+        dense = np.zeros(self.shape, dtype=np.int64)
+        dense[self.rows, self.cols] = self.hits
+        dense.setflags(write=False)
+        return dense
+
+    @property
+    def entries(self):
+        """Dense ``(M, M)`` transition fractions, built on each access."""
+        entries = self.counts / self.samples_per_cell
         entries.setflags(write=False)
-        leakage = escaped / total
-        leakage.setflags(write=False)
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "samples_per_cell", total)
-        object.__setattr__(self, "escaped", escaped)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "leakage", leakage)
+        return entries
+
+    def push(self, masses):
+        """Cell masses after one step, ``entries.T @ masses``."""
+        return np.bincount(
+            self.cols, weights=masses[self.rows] * self.values,
+            minlength=self.partition.cell_count,
+        )
+
+    def compose(self, values):
+        """Expected next value per cell, ``entries @ values``."""
+        return np.bincount(
+            self.rows, weights=self.values * values[self.cols],
+            minlength=self.partition.cell_count,
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -292,13 +379,18 @@ def _subgrid_order(samples_per_cell, dim):
 
 
 def _apply_point_map(point_map, points):
-    """Apply a point map to an (n, d) batch, falling back to a loop."""
+    """Apply a point map to an (n, d) batch.
+
+    A map that rejects batches (``TypeError``, ``ValueError`` or
+    ``IndexError``) or returns the wrong shape for one is called point by
+    point instead; any other error propagates.
+    """
     try:
         out = np.asarray(point_map(points), dtype=float)
-        if out.shape == points.shape:
-            return out
-    except Exception:
-        pass
+    except (TypeError, ValueError, IndexError):
+        out = None
+    if out is not None and out.shape == points.shape:
+        return out
     rows = [np.asarray(point_map(p), dtype=float).reshape(-1) for p in points]
     out = np.asarray(rows, dtype=float)
     if out.shape != points.shape:
@@ -306,6 +398,51 @@ def _apply_point_map(point_map, points):
             f"flow: returned shape {out.shape} for input shape {points.shape}"
         )
     return out
+
+
+def ulam_from_destinations(
+    partition,
+    dest,
+    *,
+    leak_tol,
+    escape_message,
+    t0=0.0,
+    t1=0.0,
+    flow_id="",
+):
+    """Operator counting where each cell's samples landed.
+
+    ``dest`` has shape ``(M, S)``: entry ``[i, s]`` is the cell reached by
+    sample ``s`` of cell ``i``, or -1 if it left the box.  The sparse
+    counts come from one ``np.unique`` over the keys ``i * M + dest``, which
+    sorts them row-major with ascending columns.
+
+    Raises ``DomainEscapeError`` naming the worst cell if its escaped
+    fraction exceeds ``leak_tol``; the message is ``escape_message``
+    formatted with ``cell``, ``leak`` and ``tol``.
+    """
+    M, S = dest.shape
+    inside = dest >= 0
+    escaped = S - inside.sum(axis=1)
+    worst = int(np.argmax(escaped))
+    worst_leak = escaped[worst] / S
+    if worst_leak > leak_tol:
+        raise DomainEscapeError(
+            escape_message.format(cell=worst, leak=worst_leak, tol=leak_tol),
+            cell=worst,
+            leakage=float(worst_leak),
+        )
+    keys = (np.arange(M, dtype=np.int64)[:, None] * M + dest)[inside]
+    keys, hits = np.unique(keys, return_counts=True)
+    return UlamMatrix(
+        partition,
+        SparseCounts(keys // M, keys % M, hits),
+        samples_per_cell=S,
+        leak_tol=leak_tol,
+        t0=t0,
+        t1=t1,
+        flow_id=flow_id,
+    )
 
 
 def build_ulam(
@@ -332,8 +469,8 @@ def build_ulam(
     leak_tol : float
         Worst-row leakage fraction accepted before the build is rejected.
     threads : int
-        Row construction is split over this many worker threads.  Rows are
-        independent, so the result is identical for any thread count.
+        Accepted for compatibility and ignored: the build is one vectorised
+        pass, and its result never depended on the thread count.
     t0, t1, flow_id : optional metadata
         Defaults are taken from the flow's ``transition``/``flow_id``
         attributes when present.
@@ -353,32 +490,6 @@ def build_ulam(
     images = _apply_point_map(flow, points)
     dest = partition.locate(images).reshape(M, S)
 
-    counts = np.zeros((M, M), dtype=np.int64)
-
-    def fill(rows):
-        for i in rows:
-            row = dest[i]
-            inside = row >= 0
-            counts[i] = np.bincount(row[inside], minlength=M)
-
-    if threads is None or threads <= 1:
-        fill(range(M))
-    else:
-        chunks = np.array_split(np.arange(M), min(threads, M))
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, chunks))
-
-    escaped = S - counts.sum(axis=1)
-    worst = int(np.argmax(escaped))
-    worst_leak = escaped[worst] / S
-    if worst_leak > leak_tol:
-        raise DomainEscapeError(
-            f"cell {worst} leaks {worst_leak:.4f} of its mass out of the domain "
-            f"(tolerance {leak_tol})",
-            cell=worst,
-            leakage=float(worst_leak),
-        )
-
     transition = getattr(flow, "transition", None)
     if t0 is None:
         t0 = transition.t0 if transition is not None else 0.0
@@ -386,11 +497,13 @@ def build_ulam(
         t1 = transition.t1 if transition is not None else 0.0
     if flow_id is None:
         flow_id = getattr(flow, "flow_id", "")
-    return UlamMatrix(
+    return ulam_from_destinations(
         partition,
-        counts,
-        samples_per_cell=S,
+        dest,
         leak_tol=leak_tol,
+        escape_message=(
+            "cell {cell} leaks {leak:.4f} of its mass out of the domain (tolerance {tol})"
+        ),
         t0=float(t0),
         t1=float(t1),
         flow_id=str(flow_id),
@@ -415,7 +528,7 @@ def apply_fp(matrix, theta, renormalize=False):
     _require_same_grid(matrix, theta)
     vol = theta.partition.cell_volume
     m = theta.values * vol
-    m_out = matrix.entries.T @ m
+    m_out = matrix.push(m)
     if renormalize:
         m_in = m.sum()
         leaked = float(matrix.leakage @ m)
@@ -441,7 +554,7 @@ def apply_koopman(matrix, zeta):
             f"observable length {zeta.values.shape[0]} does not match "
             f"{matrix.partition.cell_count} cells"
         )
-    return ObservableVector(matrix.entries @ zeta.values)
+    return ObservableVector(matrix.compose(zeta.values))
 
 
 def adjoint_residual(matrix, theta, zeta):
@@ -513,7 +626,7 @@ def stationary_density(matrix, theta0, tol=1e-10, max_iter=5000, cesaro=False):
     avg = None
     last_dist = np.inf
     for n in range(1, max_iter + 1):
-        p = matrix.entries.T @ p
+        p = matrix.push(p)
         total = p.sum()
         if total <= 0.0:
             raise NumericalError(
@@ -529,7 +642,7 @@ def stationary_density(matrix, theta0, tol=1e-10, max_iter=5000, cesaro=False):
         last_dist = float(np.abs(new - current).sum())
         current = new.copy()
         if last_dist < tol:
-            residual = float(np.abs(matrix.entries.T @ current - current).sum())
+            residual = float(np.abs(matrix.push(current) - current).sum())
             return StationaryResult(
                 DensityVector(theta0.partition, current / vol), n, residual
             )

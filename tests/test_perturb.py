@@ -286,3 +286,20 @@ def test_resilience_validation():
     alien = DensityVector.uniform(line_partition(8))
     with pytest.raises(ConfigurationError, match="reference partition"):
         resilience_report(system, profile, noise, cfg, path_cfg, [alien])
+
+
+@pytest.mark.parametrize(
+    "seed, cell, path",
+    [(0, 0, 0), (9, 3, 41), (2**63 + 5, 2**32 - 1, 2**32 - 1), (1, 0, 2**32 - 1), (7, 2**32 - 1, 0)],
+)
+def test_stream_reset_matches_a_fresh_philox(seed, cell, path):
+    key = np.array(
+        [np.uint64(seed), (np.uint64(cell) << np.uint64(32)) | np.uint64(path)],
+        dtype=np.uint64,
+    )
+    fresh = np.random.Generator(np.random.Philox(key=key)).standard_normal((37, 3))
+    gen = np.random.Generator(np.random.Philox(0))
+    gen.random(3, dtype=np.float32)  # leaves a half-used buffer behind
+    reset = np.empty((37, 3))
+    perturb_mod._reset_stream(gen, seed, cell, path).standard_normal(out=reset)
+    assert np.array_equal(reset, fresh)
