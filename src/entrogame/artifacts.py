@@ -46,14 +46,23 @@ def _cell(value):
     return str(value)
 
 
-def write_csv(path, header, rows):
+def _write_lines(path, header, body):
+    """Write the CSV ``header`` line, then ``body`` (newline-terminated rows).
+
+    The numeric writers below format whole rows with one ``%d``/``%.17g``
+    template over ``tolist()`` output: for Python ints and floats that is
+    the text :func:`_cell` gives, ``inf``/``nan`` included.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_cell(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    path.write_text(",".join(header) + "\n" + body, encoding="utf-8", newline="\n")
     return path
+
+
+def write_csv(path, header, rows):
+    """Generic writer for mixed-type rows; cells are formatted by type."""
+    body = "".join(",".join(_cell(v) for v in row) + "\n" for row in rows)
+    return _write_lines(path, header, body)
 
 
 def _jsonable(obj):
@@ -96,8 +105,8 @@ def _partition_payload(partition):
 
 def write_density(theta, csv_path, provenance=None):
     """Write ``cell_index,value`` rows plus a partition sidecar."""
-    rows = [(i, v) for i, v in enumerate(theta.values)]
-    write_csv(csv_path, ["cell_index", "value"], rows)
+    rows = enumerate(theta.values.tolist())
+    _write_lines(csv_path, ["cell_index", "value"], "".join(["%d,%.17g\n" % r for r in rows]))
     payload = {"partition": _partition_payload(theta.partition), "kind": "density"}
     if provenance:
         payload["provenance"] = provenance
@@ -137,8 +146,9 @@ def read_density(csv_path):
         raise ConfigurationError(
             f"density: {csv_path} must start with the header 'cell_index,value'"
         )
-    values = np.zeros(partition.cell_count)
-    seen = np.zeros(partition.cell_count, dtype=bool)
+    cell_count = partition.cell_count
+    values = np.zeros(cell_count)
+    seen = np.zeros(cell_count, dtype=bool)
     for n, line in enumerate(lines[1:], start=2):
         if not line:
             continue
@@ -150,9 +160,9 @@ def read_density(csv_path):
             val = float(parts[1])
         except ValueError as exc:
             raise ConfigurationError(f"density: row {n}: {exc}") from exc
-        if not 0 <= idx < partition.cell_count:
+        if not 0 <= idx < cell_count:
             raise ConfigurationError(
-                f"density: row {n}: cell_index {idx} outside 0..{partition.cell_count - 1}"
+                f"density: row {n}: cell_index {idx} outside 0..{cell_count - 1}"
             )
         if seen[idx]:
             raise ConfigurationError(f"density: row {n}: duplicate cell_index {idx}")
@@ -177,7 +187,7 @@ def read_density(csv_path):
 def write_ulam(matrix, csv_path, provenance=None):
     """Sparse triplet export ``row,col,value`` with a metadata sidecar."""
     rows = zip(matrix.rows.tolist(), matrix.cols.tolist(), matrix.values.tolist())
-    write_csv(csv_path, ["row", "col", "value"], rows)
+    _write_lines(csv_path, ["row", "col", "value"], "".join(["%d,%d,%.17g\n" % r for r in rows]))
     payload = {
         "kind": "ulam",
         "partition": _partition_payload(matrix.partition),

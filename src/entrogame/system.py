@@ -5,7 +5,8 @@ input channel, ``u_j = L_j x``.  Closing every loop yields a linear flow
 ``x -> Phi(t1, t0) x`` obtained by fixed-step integration of the matrix
 differential equation ``Phi' = M(t) Phi``.  Closing every loop except one
 factors the flow into a rest-of-network transition times a single-channel
-correction; the game module scores channels through that factorisation.
+correction (:func:`decompose_transition`).  The game module does not use
+that factorisation: it scores each profile's full closed-loop flow.
 
 Coefficients may vary in time only through a piecewise-constant schedule,
 so every integrator step sees exact segment coefficients.
@@ -300,6 +301,14 @@ def _check_span(t0, t1, steps):
 def integrate_transition(system, profile, t0, t1, steps):
     """Integrate ``Phi' = M(t) Phi`` with classical fixed-step RK4.
 
+    Within a schedule segment ``M`` is constant, so one RK4 step of size
+    ``h`` is, in exact arithmetic, multiplication by the step matrix
+    ``T = I + hM + (hM)^2/2 + (hM)^3/6 + (hM)^4/24``, and ``n`` steps are
+    ``T^n``, formed by repeated squaring in O(log n) products.  If that
+    power is not finite, the segment is walked one step ``Phi <- T Phi`` at
+    a time instead; a non-finite step raises :class:`DivergenceError`, and
+    a walk that stays finite is kept.
+
     Parameters
     ----------
     system : MultiChannelSystem
@@ -314,6 +323,11 @@ def integrate_transition(system, profile, t0, t1, steps):
     Returns
     -------
     TransitionMatrix
+
+    Raises
+    ------
+    DivergenceError
+        At the first step, counted across segments, whose product overflows.
     """
     _check_profile(system, profile)
     _check_span(t0, t1, steps)
@@ -322,18 +336,21 @@ def integrate_transition(system, profile, t0, t1, steps):
     if t1 == t0:
         return TransitionMatrix(t0, t1, Phi)
 
+    I = np.eye(d)
     total = t1 - t0
     done = 0
     for a, b in _segments(system, t0, t1):
         n = max(1, int(math.ceil(steps * (b - a) / total)))
-        M = closed_loop_matrix(system, profile, a)
-        h = (b - a) / n
+        hM = ((b - a) / n) * closed_loop_matrix(system, profile, a)
+        T = I + hM @ (I + hM @ (I + hM @ (I + hM / 4.0) / 3.0) / 2.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            powered = np.linalg.matrix_power(T, n) @ Phi
+        if np.all(np.isfinite(powered)):
+            Phi = powered
+            done += n
+            continue
         for _ in range(n):
-            k1 = M @ Phi
-            k2 = M @ (Phi + 0.5 * h * k1)
-            k3 = M @ (Phi + 0.5 * h * k2)
-            k4 = M @ (Phi + h * k3)
-            Phi = Phi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            Phi = T @ Phi
             done += 1
             if not np.all(np.isfinite(Phi)):
                 raise DivergenceError(
