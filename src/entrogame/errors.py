@@ -20,11 +20,16 @@ class NumericalError(ToolkitError):
 
 
 class DivergenceError(NumericalError):
-    """Non-finite values appeared during integration."""
+    """Non-finite values appeared during integration.
 
-    def __init__(self, message, step=None):
+    ``step`` is the first non-finite step; ``cell`` names the grid cell of
+    the diverging path when the integration runs per path.
+    """
+
+    def __init__(self, message, step=None, cell=None):
         super().__init__(message)
         self.step = step
+        self.cell = cell
 
 
 class ConditioningError(NumericalError):

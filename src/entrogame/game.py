@@ -216,6 +216,21 @@ def _is_hurwitz(system, profile):
     return bool(np.all(np.linalg.eigvals(M).real < 0.0))
 
 
+def _unilateral_deviations(profile, space):
+    """``(channel, candidate index, profile)`` of every unilateral deviation.
+
+    Channels and candidates are enumerated in order; the candidate equal to
+    the channel's current gain is skipped.
+    """
+    deviations = []
+    for j in range(1, space.n_channels + 1):
+        current = profile.gain(j).L
+        for k, L in enumerate(space.candidates[j - 1]):
+            if not np.array_equal(L, current):
+                deviations.append((j, k, profile.replaced(j, L)))
+    return deviations
+
+
 def _best_response_index(system, profile, channel, space, cfg, cache):
     """(index, criterion vector) of the best candidate; collects rejections."""
     best_k = None
@@ -443,16 +458,11 @@ def verify_equilibrium(system, profile, space, cfg, extra_densities=()):
     worst2 = -np.inf
     worst3 = -np.inf
     deviation_profiles = []
-    for j in range(1, space.n_channels + 1):
-        current = profile.gain(j).L
-        for k, L in enumerate(space.candidates[j - 1]):
-            if np.array_equal(L, current):
-                continue
-            cand_profile = profile.replaced(j, L)
-            if space.stability_filter and not _is_hurwitz(system, cand_profile):
-                rejected.append((j, k, "stability filter"))
-                continue
-            deviation_profiles.append((j, k, cand_profile))
+    for j, k, cand_profile in _unilateral_deviations(profile, space):
+        if space.stability_filter and not _is_hurwitz(system, cand_profile):
+            rejected.append((j, k, "stability filter"))
+            continue
+        deviation_profiles.append((j, k, cand_profile))
 
     for idx, theta in enumerate(densities):
         eq_vals, eq_ents = scores(profile, theta)

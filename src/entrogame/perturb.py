@@ -10,7 +10,11 @@ are bit-identical for any thread count.
 
 The perturbed grid operator is a Monte Carlo variant of the deterministic
 cell-counting build: at least 100 paths per cell start on a stratified
-in-cell pattern and row entries count endpoint destinations.
+in-cell pattern and row entries count endpoint destinations.  The paths of
+all cells are integrated as one batch, in chunks bounded by
+``_CHUNK_ENTRIES`` noise entries.  Since the draws depend on neither the
+noise amplitude nor the gain profile, the builds of one resilience report
+share the normals of a chunk whenever they have the same step count.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import numpy as np
 
 from .entropy import relative_entropy
 from .errors import ConfigurationError, DivergenceError
-from .game import OperatorCache
+from .game import OperatorCache, _unilateral_deviations
 from .system import closed_loop_matrix
 from .transfer import (
     DensityVector,
@@ -103,30 +107,85 @@ class SdePathConfig:
 
 
 _UINT64_MASK = (1 << 64) - 1
-_ZERO_WORDS = np.zeros(4, dtype=np.uint64)
+_ZERO_WORDS = (0, 0, 0, 0)
 
 
-def _stream_key(seed, cell, path):
-    """Philox key of one path: ``[seed, cell << 32 | path]`` in uint64."""
-    word = ((int(cell) << 32) | int(path)) & _UINT64_MASK
-    return np.array([int(seed), word], dtype=np.uint64)
+def _stream_word(cell, path):
+    """Second Philox key word of one path: ``cell << 32 | path`` in uint64."""
+    return ((int(cell) << 32) | int(path)) & _UINT64_MASK
 
 
-def _reset_stream(gen, seed, cell, path):
-    """Rewind ``gen`` to the start of the ``(seed, cell, path)`` stream.
+def _stream_state(seed):
+    """Philox state at the start of a stream keyed ``[seed, 0]``.
 
-    Draws then match a fresh ``Generator(Philox(key=_stream_key(...)))``
-    bit for bit, at a fraction of the cost of building one per path.
+    Setting ``state["state"]["key"][1]`` to a :func:`_stream_word` selects
+    the path; the state is built from plain ints, so one dict serves a
+    whole batch of resets.
     """
-    gen.bit_generator.state = {
+    return {
         "bit_generator": "Philox",
-        "state": {"counter": _ZERO_WORDS, "key": _stream_key(seed, cell, path)},
+        "state": {"counter": _ZERO_WORDS, "key": [int(seed), 0]},
         "buffer": _ZERO_WORDS,
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
     }
+
+
+def _reset_stream(gen, seed, cell, path):
+    """Rewind ``gen`` to the start of the ``(seed, cell, path)`` stream.
+
+    Draws then match a fresh ``Generator(Philox(key=[seed, cell << 32 |
+    path]))`` bit for bit, at a fraction of the cost of building one.
+    """
+    state = _stream_state(seed)
+    state["state"]["key"][1] = _stream_word(cell, path)
+    gen.bit_generator.state = state
     return gen
+
+
+def _draw_normals(seed, first_cell, per_cell, lo, hi, n_steps, d):
+    """Standard normals of rows ``lo:hi``, shape ``(hi - lo, n_steps, d)``.
+
+    Row ``r`` reads the stream of path ``r % per_cell`` of cell
+    ``first_cell + r // per_cell``.
+    """
+    words = [
+        _stream_word(first_cell + r // per_cell, r % per_cell) for r in range(lo, hi)
+    ]
+    bit_generator = np.random.Philox(0)
+    gen = np.random.Generator(bit_generator)
+    state = _stream_state(seed)
+    key = state["state"]["key"]
+    xi = np.empty((hi - lo, n_steps, d))
+    for word, block in zip(words, xi):
+        key[1] = word
+        bit_generator.state = state
+        gen.standard_normal(out=block)
+    return xi
+
+
+class _HeldNoise:
+    """The normals of the last chunk drawn, kept for the next request.
+
+    A request for the same rows of the same streams and step count returns
+    the held block; any other request drops it before drawing.  At most one
+    chunk is held, so sharing one instance across builds keeps the memory
+    bound of a single build.
+    """
+
+    def __init__(self):
+        self._key = None
+        self._xi = None
+
+    def normals(self, seed, first_cell, per_cell, lo, hi, n_steps, d):
+        key = (int(seed), first_cell, per_cell, lo, hi, n_steps, d)
+        if key != self._key:
+            self._key = self._xi = None
+            self._xi = _draw_normals(*key)
+            self._xi.setflags(write=False)
+            self._key = key
+        return self._xi
 
 
 def _step_matrices(system, profile, h, n_steps):
@@ -165,12 +224,23 @@ def _prepare(system, profile, noise, eps, d, h, n_steps):
     return mats_t, seg_of_step, noisy, scale_t
 
 
-def _integrate_paths(system, profile, noise, eps, starts, h, n_steps, seed, cell):
+def _integrate_paths(
+    system, profile, noise, eps, starts, h, n_steps, seed, per_cell,
+    first_cell=0, held=None,
+):
     """Euler-Maruyama endpoints for a batch of paths.
 
-    ``starts`` has shape (n, d); path ``p`` uses the stream keyed
-    ``(seed, cell, p)``.  Paths are processed in fixed-size chunks, so the
-    per-path arithmetic never depends on the batch composition.
+    ``starts`` has shape (n, d); row ``r`` is path ``r % per_cell`` of cell
+    ``first_cell + r // per_cell`` and draws from that stream.  Rows are
+    integrated in chunks of at most ``_CHUNK_ENTRIES`` noise entries; each
+    row's arithmetic is the same in any chunk (except that BLAS may sum a
+    one-row chunk of a state of dimension 4 or more in another order).
+    ``held`` (a
+    :class:`_HeldNoise`) lets consecutive calls on the same streams share
+    their normals.
+
+    Raises ``DivergenceError`` at the earliest step at which any row is
+    non-finite, naming the lowest cell with a non-finite row at that step.
     """
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
     n, d = starts.shape
@@ -181,26 +251,34 @@ def _integrate_paths(system, profile, noise, eps, starts, h, n_steps, seed, cell
     mats_t, seg_of_step, noisy, scale_t = _prepare(
         system, profile, noise, eps, d, h, n_steps
     )
+    if held is None:
+        held = _HeldNoise()
 
     endpoints = np.empty((n, d))
-    gen = np.random.Generator(np.random.Philox(0))
+    failure = None  # (step, cell) of the earliest divergence so far
     chunk = max(1, min(n, _CHUNK_ENTRIES // max(1, n_steps * d)))
     for lo in range(0, n, chunk):
         hi = min(n, lo + chunk)
         Z = starts[lo:hi].copy()
         if noisy:
-            xi = np.empty((hi - lo, n_steps, d))
-            for p in range(lo, hi):
-                _reset_stream(gen, seed, cell, p).standard_normal(out=xi[p - lo])
-        for k in range(n_steps):
+            xi = held.normals(seed, first_cell, per_cell, lo, hi, n_steps, d)
+        # After a divergence only an earlier step can change the report.
+        for k in range(n_steps if failure is None else failure[0] - 1):
             Z = Z + (Z @ mats_t[seg_of_step[k]]) * h
             if noisy:
                 Z = Z + xi[:, k, :] @ scale_t
-            if not np.all(np.isfinite(Z)):
-                raise DivergenceError(
-                    f"path integration diverged at step {k + 1}", step=k + 1
-                )
+            if not np.isfinite(Z).all():
+                row = lo + int(np.argmin(np.isfinite(Z).all(axis=1)))
+                failure = (k + 1, first_cell + row // per_cell)
+                break
         endpoints[lo:hi] = Z
+    if failure is not None:
+        step, cell = failure
+        raise DivergenceError(
+            f"path integration diverged at step {step} in cell {cell}",
+            step=step,
+            cell=cell,
+        )
     return endpoints
 
 
@@ -224,8 +302,8 @@ def simulate_sde(system, profile, noise, eps, x0, path_cfg, path=0, cell=0):
         system, profile, noise, eps, d, h, n_steps
     )
     if noisy:
-        key = _stream_key(path_cfg.seed, cell, path)
-        xi = np.random.Generator(np.random.Philox(key=key)).standard_normal((n_steps, d))
+        gen = np.random.Generator(np.random.Philox(0))
+        xi = _reset_stream(gen, path_cfg.seed, cell, path).standard_normal((n_steps, d))
     Z = x0[None, :].copy()
     trajectory = np.empty((n_steps + 1, d))
     trajectory[0] = Z[0]
@@ -233,8 +311,12 @@ def simulate_sde(system, profile, noise, eps, x0, path_cfg, path=0, cell=0):
         Z = Z + (Z @ mats_t[seg_of_step[k]]) * h
         if noisy:
             Z = Z + xi[k][None, :] @ scale_t
-        if not np.all(np.isfinite(Z)):
-            raise DivergenceError(f"path integration diverged at step {k + 1}", step=k + 1)
+        if not np.isfinite(Z).all():
+            raise DivergenceError(
+                f"path integration diverged at step {k + 1} in cell {cell}",
+                step=k + 1,
+                cell=cell,
+            )
         trajectory[k + 1] = Z[0]
     return trajectory
 
@@ -249,7 +331,7 @@ def ensemble_endpoints(system, profile, noise, eps, x0, path_cfg, cell=0):
     starts = np.broadcast_to(x0, (path_cfg.n_paths, x0.shape[0])).copy()
     return _integrate_paths(
         system, profile, noise, eps, starts, path_cfg.h, path_cfg.n_steps,
-        path_cfg.seed, cell,
+        path_cfg.seed, path_cfg.n_paths, first_cell=cell,
     )
 
 
@@ -274,18 +356,23 @@ def build_stochastic_ulam(
     *,
     leak_tol=0.05,
     threads=1,
+    _held_noise=None,
 ):
     """Monte Carlo push-forward matrix of the perturbed flow over ``[0, t]``.
 
     Each cell launches ``path_cfg.n_paths`` paths (at least 100) from a
     stratified in-cell start pattern; row entries are endpoint destination
     counts over paths.  The number of steps is ``round(t / h)`` with the
-    step size adjusted to land on ``t`` exactly.  Rows are built per cell
-    with streams keyed ``(seed, cell, path)``.  ``threads`` is accepted for
-    compatibility and ignored; the matrix never depended on it.
+    step size adjusted to land on ``t`` exactly.  The paths of all cells
+    are integrated as one batch with rows in ``(cell, path)`` order, each
+    row drawing from the stream keyed ``(seed, cell, path)``.  ``threads``
+    is accepted for compatibility and ignored; the matrix never depended
+    on it.  ``_held_noise`` is a private :class:`_HeldNoise` through which
+    consecutive builds on the same streams share their normals.
 
     Raises ``DomainEscapeError`` if any row loses more than ``leak_tol``
-    of its paths past the box.
+    of its paths past the box, and ``DivergenceError`` naming the step and
+    cell if a path becomes non-finite.
     """
     if path_cfg.n_paths < _MIN_PATHS_PER_CELL:
         raise ConfigurationError(
@@ -300,13 +387,12 @@ def build_stochastic_ulam(
     n_paths = path_cfg.n_paths
     offsets = _stratified_starts(partition, n_paths)
     corners = partition.lower + partition.multi_indices() * partition.widths
-    dest = np.empty((partition.cell_count, n_paths), dtype=np.int64)
-    for i, corner in enumerate(corners):
-        ends = _integrate_paths(
-            system, profile, noise, eps, corner + offsets,
-            h_eff, n_steps, path_cfg.seed, i,
-        )
-        dest[i] = partition.locate(ends)
+    starts = (corners[:, None, :] + offsets[None, :, :]).reshape(-1, partition.dim)
+    ends = _integrate_paths(
+        system, profile, noise, eps, starts, h_eff, n_steps, path_cfg.seed,
+        n_paths, held=_held_noise,
+    )
+    dest = partition.locate(ends).reshape(partition.cell_count, n_paths)
     return ulam_from_destinations(
         partition,
         dest,
@@ -440,15 +526,14 @@ def resilience_report(
 
     deviation_profiles = []
     if with_deviations:
-        for j in range(1, space.n_channels + 1):
-            current = profile.gain(j).L
-            for k, L in enumerate(space.candidates[j - 1]):
-                if np.array_equal(L, current):
-                    continue
-                deviation_profiles.append(
-                    (f"deviation:j={j},k={k}", profile.replaced(j, L))
-                )
+        deviation_profiles = [
+            (f"deviation:j={j},k={k}", dev_profile)
+            for j, k, dev_profile in _unilateral_deviations(profile, space)
+        ]
 
+    # Draws depend only on (seed, cell, path): builds with the same step
+    # count share one chunk of normals across epsilons and profiles.
+    held = _HeldNoise()
     entries = []
     deviation_entries = []
     theta_eps = []
@@ -467,7 +552,7 @@ def resilience_report(
                 continue
             P_eps = build_stochastic_ulam(
                 cfg.theta_ref.partition, system, profile, noise, eps, t, path_cfg,
-                leak_tol=cfg.leak_tol, threads=cfg.threads,
+                leak_tol=cfg.leak_tol, threads=cfg.threads, _held_noise=held,
             )
             for i, theta in enumerate(thetas):
                 pushed = apply_fp(P_eps, theta, renormalize=True)
@@ -480,6 +565,7 @@ def resilience_report(
                 P_dev = build_stochastic_ulam(
                     cfg.theta_ref.partition, system, dev_profile, noise, eps, t,
                     path_cfg, leak_tol=cfg.leak_tol, threads=cfg.threads,
+                    _held_noise=held,
                 )
                 for i, theta in enumerate(thetas):
                     pushed = apply_fp(P_dev, theta, renormalize=True)

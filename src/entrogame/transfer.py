@@ -94,6 +94,7 @@ class Partition:
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "cells_per_axis", cells)
+        object.__setattr__(self, "_sample_points", {})
 
     @property
     def dim(self):
@@ -137,9 +138,18 @@ class Partition:
         return np.stack([g.ravel() for g in grids], axis=1)
 
     def sample_points(self, q):
-        """Interior sample points for every cell, shape (M, q**d, d)."""
-        corners = self.lower + self.multi_indices() * self.widths
-        return corners[:, None, :] + self.sample_offsets(q)[None, :, :]
+        """Interior sample points for every cell, shape (M, q**d, d).
+
+        Computed once per ``q`` and returned read-only.
+        """
+        q = int(q)
+        points = self._sample_points.get(q)
+        if points is None:
+            corners = self.lower + self.multi_indices() * self.widths
+            points = corners[:, None, :] + self.sample_offsets(q)[None, :, :]
+            points.setflags(write=False)
+            self._sample_points[q] = points
+        return points
 
     def locate(self, points):
         """Flat cell index for each point, -1 for points outside the box.

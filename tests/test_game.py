@@ -505,3 +505,14 @@ def test_strategy_space_validation():
     prof = space.profile([2, 1])
     assert np.array_equal(prof.gain(1).L, np.array([[0.5]]))
     assert np.array_equal(prof.gain(2).L, np.array([[-0.2]]))
+
+
+def test_unilateral_deviations_skip_the_current_gain_in_channel_order():
+    space = sum_zero_space()
+    profile = space.profile((1, 0))
+    deviations = game_mod._unilateral_deviations(profile, space)
+    assert [(j, k) for j, k, _ in deviations] == [(1, 0), (1, 2), (2, 1), (2, 2)]
+    for j, k, dev in deviations:
+        assert np.array_equal(dev.gain(j).L, space.candidates[j - 1][k])
+        other = 3 - j
+        assert np.array_equal(dev.gain(other).L, profile.gain(other).L)

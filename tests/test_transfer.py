@@ -350,3 +350,16 @@ def test_l1_distance_matches_direct_sum():
     b = DensityVector(part, rng.uniform(0, 1, 8))
     direct = float(np.abs(a.values - b.values).sum() * part.cell_volume)
     assert l1_distance(a, b) == direct
+
+
+def test_sample_points_are_computed_once_per_order_and_read_only():
+    part = Partition(np.array([0.0, -1.0]), np.array([2.0, 1.0]), np.array([4, 8]))
+    pts = part.sample_points(3)
+    assert part.sample_points(3) is pts
+    assert not pts.flags.writeable
+    with pytest.raises(ValueError):
+        pts[0, 0, 0] = 5.0
+    corners = part.lower + part.multi_indices() * part.widths
+    assert np.array_equal(pts, corners[:, None, :] + part.sample_offsets(3)[None, :, :])
+    assert part.sample_points(2).shape == (32, 4, 2)
+    assert part.sample_points(3) is pts
