@@ -19,7 +19,7 @@ from .artifacts import read_density, write_csv, write_density, write_json, write
 from .config import load_scenario
 from .errors import ConfigurationError, NumericalError
 from .game import entropy_decay_trace, find_equilibrium, verify_equilibrium
-from .perturb import ensemble_endpoints, resilience_report
+from .perturb import PATH_SCHEME, ensemble_endpoints, resilience_report
 from .system import flow_map
 from .transfer import build_ulam, stationary_density
 
@@ -247,6 +247,7 @@ def _cmd_perturb(scenario, args, out, prov):
         out / "perturb_stats.json",
         {
             "provenance": prov,
+            "path_scheme": PATH_SCHEME,
             "n_paths": path_cfg.n_paths,
             "n_steps": path_cfg.n_steps,
             "h": path_cfg.h,
@@ -307,6 +308,7 @@ def _cmd_resilience(scenario, args, out, prov):
         out / "resilience.json",
         {
             "provenance": prov,
+            "path_scheme": PATH_SCHEME,
             "theta_eps": [{"epsilon": e, "value": v} for e, v in report.theta_eps],
             "monotone_flag": report.monotone_flag,
             "kl_floor": report.kl_floor,

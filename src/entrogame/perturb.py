@@ -1,12 +1,21 @@
 """Small-noise perturbation of the closed loop and resilience reporting.
 
 The perturbed state follows ``dZ = M(t) Z dt + sqrt(eps) sigma dW`` with
-the closed-loop drift ``M``.  Paths are simulated with the explicit
-Euler-Maruyama scheme.  Every path draws its normals from a counter-based
-Philox stream keyed by ``(seed, cell, path)``; the step index is the
-position in that stream.  Draws therefore never depend on scheduling or
-batching, so ensembles, grid-operator builds and full resilience reports
-are bit-identical for any thread count.
+the closed-loop drift ``M``.  Paths follow the explicit Euler-Maruyama
+scheme.  Every path draws its normals from a counter-based Philox stream
+keyed by ``(seed, cell, path)``; the step index is the position in that
+stream.  Draws therefore never depend on scheduling or batching, so
+ensembles, grid-operator builds and full resilience reports are
+bit-identical for any thread count.
+
+Within a schedule segment the drift is constant and the noise additive, so
+the Euler-Maruyama recursion is affine in the normals: it is the discrete
+Ornstein-Uhlenbeck (AR(1)) recursion, and a segment's exit state is
+evaluated in closed form from the powers of its step matrix instead of
+step by step (path scheme 2).  Every row is reduced on its own, so a
+path's endpoint does not depend on the batch or chunk it is computed in.
+The per-step loop remains as the diagnostic walk that names the step and
+cell of a divergence.
 
 The perturbed grid operator is a Monte Carlo variant of the deterministic
 cell-counting build: at least 100 paths per cell start on a stratified
@@ -48,6 +57,8 @@ __all__ = [
 ]
 
 _MIN_PATHS_PER_CELL = 100
+# Version of the path arithmetic; written into the noisy commands' artifacts.
+PATH_SCHEME = 2
 # Noise block memory cap per integration chunk, in float64 entries.
 _CHUNK_ENTRIES = 8_000_000
 
@@ -150,9 +161,8 @@ def _draw_normals(seed, first_cell, per_cell, lo, hi, n_steps, d):
     Row ``r`` reads the stream of path ``r % per_cell`` of cell
     ``first_cell + r // per_cell``.
     """
-    words = [
-        _stream_word(first_cell + r // per_cell, r % per_cell) for r in range(lo, hi)
-    ]
+    r = np.arange(lo, hi, dtype=np.uint64)
+    words = (((int(first_cell) + r // int(per_cell)) << 32) | (r % int(per_cell))).tolist()
     bit_generator = np.random.Philox(0)
     gen = np.random.Generator(bit_generator)
     state = _stream_state(seed)
@@ -224,23 +234,96 @@ def _prepare(system, profile, noise, eps, d, h, n_steps):
     return mats_t, seg_of_step, noisy, scale_t
 
 
+def _segment_runs(seg_of_step):
+    """``(segment, first step, step count)`` of each run of equal drift."""
+    cuts = np.flatnonzero(np.diff(seg_of_step)) + 1
+    firsts = [0] + cuts.tolist()
+    ends = cuts.tolist() + [len(seg_of_step)]
+    return [(int(seg_of_step[a]), a, b - a) for a, b in zip(firsts, ends)]
+
+
+def _segment_operators(mat_t, scale_t, h, m, noisy):
+    """Powers of one segment's step matrix and its noise kernel.
+
+    In row form a step is ``Z <- Z T + xi S`` with ``T = I + h M^T`` and
+    ``S = scale_t``.  Returns ``powers`` of shape ``(m + 1, d, d)`` with
+    ``powers[p] = T^p``, from one product loop, and (when ``noisy``) the
+    kernel of shape ``(d, m*d)`` whose row ``c`` holds ``(S T^(m-1-j))[a, c]``
+    at ``j*d + a``.  The kernel of a ``j``-step segment is the last
+    ``j*d`` columns of the ``m``-step one, bit for bit.
+    """
+    d = mat_t.shape[0]
+    T = np.eye(d) + h * mat_t
+    powers = np.empty((m + 1, d, d))
+    powers[0] = np.eye(d)
+    for p in range(m):
+        powers[p + 1] = powers[p] @ T
+    if not noisy:
+        return powers, None
+    gains = scale_t @ powers[m - 1::-1]
+    return powers, np.ascontiguousarray(gains.transpose(2, 0, 1).reshape(d, m * d))
+
+
+def _advance(Z, xi, powers, kernel, j):
+    """State after the first ``j`` steps of a segment entered at ``Z``.
+
+    ``Z T^j + sum_{i<j} xi_i S T^(j-1-i)``, with ``xi`` the segment's normals
+    (rows, >= j, d) or None.  Each component is a row-wise reduction by
+    ``np.einsum``, which does not call BLAS, so a row's value does not
+    depend on how many rows are in the batch.
+    """
+    n, d = Z.shape
+    out = np.empty((n, d))
+    transposed = np.ascontiguousarray(powers[j].T)
+    if kernel is not None:
+        X = xi[:, :j, :].reshape(n, j * d)
+        tail = kernel[:, kernel.shape[1] - j * d:]
+    for c in range(d):
+        out[:, c] = np.einsum("ij,j->i", Z, transposed[c])
+        if kernel is not None:
+            out[:, c] += np.einsum("ij,j->i", X, tail[c])
+    return out
+
+
+def _walk(Z, xi, mats_t, seg_of_step, scale_t, h, n_steps, trajectory=None):
+    """The Euler-Maruyama recursion one step at a time.
+
+    Returns the state and, at the first non-finite step, that step and the
+    first non-finite row (``None, None`` if every step stays finite).
+    ``trajectory`` receives the state after each step.
+    """
+    for k in range(n_steps):
+        Z = Z + (Z @ mats_t[seg_of_step[k]]) * h
+        if xi is not None:
+            Z = Z + xi[:, k, :] @ scale_t
+        finite = np.isfinite(Z).all(axis=1)
+        if not finite.all():
+            return Z, k + 1, int(np.argmin(finite))
+        if trajectory is not None:
+            trajectory[k + 1] = Z[0]
+    return Z, None, None
+
+
 def _integrate_paths(
     system, profile, noise, eps, starts, h, n_steps, seed, per_cell,
     first_cell=0, held=None,
 ):
-    """Euler-Maruyama endpoints for a batch of paths.
+    """Euler-Maruyama endpoints for a batch of paths, in closed form.
 
     ``starts`` has shape (n, d); row ``r`` is path ``r % per_cell`` of cell
     ``first_cell + r // per_cell`` and draws from that stream.  Rows are
-    integrated in chunks of at most ``_CHUNK_ENTRIES`` noise entries; each
-    row's arithmetic is the same in any chunk (except that BLAS may sum a
-    one-row chunk of a state of dimension 4 or more in another order).
-    ``held`` (a
-    :class:`_HeldNoise`) lets consecutive calls on the same streams share
-    their normals.
+    integrated in chunks of at most ``_CHUNK_ENTRIES`` noise entries.  Each
+    schedule segment of ``m`` steps maps its entry state ``z`` to
+    ``z T^m + sum_j xi_j S T^(m-1-j)`` (see :func:`_segment_operators`),
+    reduced row by row, so every row's endpoint is the same in any chunk.
+    ``held`` (a :class:`_HeldNoise`) lets consecutive calls on the same
+    streams share their normals.
 
-    Raises ``DivergenceError`` at the earliest step at which any row is
-    non-finite, naming the lowest cell with a non-finite row at that step.
+    A chunk whose closed-form result is not finite is walked step by step
+    (:func:`_walk`): a walk that stays finite is kept, one that does not
+    gives the step and cell of the error.  Raises ``DivergenceError`` at the
+    earliest step at which any row is non-finite, naming the lowest cell
+    with a non-finite row at that step.
     """
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
     n, d = starts.shape
@@ -253,24 +336,29 @@ def _integrate_paths(
     )
     if held is None:
         held = _HeldNoise()
+    runs = _segment_runs(seg_of_step)
+    with np.errstate(over="ignore", invalid="ignore"):
+        operators = [
+            _segment_operators(mats_t[seg], scale_t, h, m, noisy) for seg, _, m in runs
+        ]
 
     endpoints = np.empty((n, d))
     failure = None  # (step, cell) of the earliest divergence so far
     chunk = max(1, min(n, _CHUNK_ENTRIES // max(1, n_steps * d)))
     for lo in range(0, n, chunk):
         hi = min(n, lo + chunk)
-        Z = starts[lo:hi].copy()
-        if noisy:
-            xi = held.normals(seed, first_cell, per_cell, lo, hi, n_steps, d)
-        # After a divergence only an earlier step can change the report.
-        for k in range(n_steps if failure is None else failure[0] - 1):
-            Z = Z + (Z @ mats_t[seg_of_step[k]]) * h
-            if noisy:
-                Z = Z + xi[:, k, :] @ scale_t
-            if not np.isfinite(Z).all():
-                row = lo + int(np.argmin(np.isfinite(Z).all(axis=1)))
-                failure = (k + 1, first_cell + row // per_cell)
-                break
+        xi = held.normals(seed, first_cell, per_cell, lo, hi, n_steps, d) if noisy else None
+        Z = starts[lo:hi]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for (_, k0, m), (powers, kernel) in zip(runs, operators):
+                seg_xi = xi[:, k0:k0 + m] if noisy else None
+                Z = _advance(Z, seg_xi, powers, kernel, m)
+        if not np.isfinite(Z).all():
+            # After a divergence only an earlier step can change the report.
+            steps = n_steps if failure is None else failure[0] - 1
+            Z, step, row = _walk(starts[lo:hi], xi, mats_t, seg_of_step, scale_t, h, steps)
+            if step is not None:
+                failure = (step, first_cell + (lo + row) // per_cell)
         endpoints[lo:hi] = Z
     if failure is not None:
         step, cell = failure
@@ -288,6 +376,9 @@ def simulate_sde(system, profile, noise, eps, x0, path_cfg, path=0, cell=0):
     With ``eps=0`` (or a zero diffusion matrix) the scheme reduces to the
     deterministic explicit Euler method.  Repeating a call with the same
     ``(seed, cell, path)`` triple reproduces the trajectory bit for bit.
+    Row ``k`` is the closed-form state after ``k`` steps, read from
+    prefixes of the same per-segment arrays as :func:`ensemble_endpoints`,
+    so the last row equals that path's ensemble endpoint bit for bit.
     """
     if path < 0 or cell < 0:
         raise ConfigurationError("path/cell: stream indices must be >= 0")
@@ -301,23 +392,30 @@ def simulate_sde(system, profile, noise, eps, x0, path_cfg, path=0, cell=0):
     mats_t, seg_of_step, noisy, scale_t = _prepare(
         system, profile, noise, eps, d, h, n_steps
     )
+    xi = None
     if noisy:
         gen = np.random.Generator(np.random.Philox(0))
-        xi = _reset_stream(gen, path_cfg.seed, cell, path).standard_normal((n_steps, d))
-    Z = x0[None, :].copy()
+        xi = _reset_stream(gen, path_cfg.seed, cell, path).standard_normal((1, n_steps, d))
+    Z = x0[None, :]
     trajectory = np.empty((n_steps + 1, d))
-    trajectory[0] = Z[0]
-    for k in range(n_steps):
-        Z = Z + (Z @ mats_t[seg_of_step[k]]) * h
-        if noisy:
-            Z = Z + xi[k][None, :] @ scale_t
-        if not np.isfinite(Z).all():
+    trajectory[0] = x0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for seg, k0, m in _segment_runs(seg_of_step):
+            powers, kernel = _segment_operators(mats_t[seg], scale_t, h, m, noisy)
+            seg_xi = xi[:, k0:k0 + m] if noisy else None
+            for j in range(1, m + 1):
+                trajectory[k0 + j] = _advance(Z, seg_xi, powers, kernel, j)[0]
+            Z = trajectory[k0 + m][None, :]
+    if not np.isfinite(trajectory).all():
+        _, step, _ = _walk(
+            x0[None, :], xi, mats_t, seg_of_step, scale_t, h, n_steps, trajectory
+        )
+        if step is not None:
             raise DivergenceError(
-                f"path integration diverged at step {k + 1} in cell {cell}",
-                step=k + 1,
+                f"path integration diverged at step {step} in cell {cell}",
+                step=step,
                 cell=cell,
             )
-        trajectory[k + 1] = Z[0]
     return trajectory
 
 
