@@ -71,6 +71,10 @@ def _jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
+        # Integer, bool and all-finite float arrays need no per-element
+        # pass: ``tolist`` already gives the Python values written below.
+        if obj.dtype.kind in "biu" or (obj.dtype.kind == "f" and np.isfinite(obj).all()):
+            return obj.tolist()
         return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)

@@ -18,8 +18,8 @@ from . import __version__
 from .artifacts import read_density, write_csv, write_density, write_json, write_ulam
 from .config import load_scenario
 from .errors import ConfigurationError, NumericalError
-from .game import entropy_decay_trace, find_equilibrium, verify_equilibrium
-from .perturb import PATH_SCHEME, ensemble_endpoints, resilience_report
+from .game import OperatorCache, entropy_decay_trace, find_equilibrium, verify_equilibrium
+from .perturb import PATH_SCHEME, _HeldNoise, ensemble_endpoints, resilience_report
 from .system import flow_map
 from .transfer import build_ulam, stationary_density
 
@@ -175,10 +175,13 @@ def _cmd_entropy_trace(scenario, args, out, prov):
 def _cmd_equilibrium(scenario, args, out, prov):
     cfg = scenario.game_config(threads=args.threads)
     space = scenario.strategy_space()
-    result = find_equilibrium(scenario.system, space, cfg, scenario.profile)
+    cache = OperatorCache(scenario.system, cfg)
+    result = find_equilibrium(scenario.system, space, cfg, scenario.profile, cache=cache)
     verification = None
     if result.converged:
-        verification = verify_equilibrium(scenario.system, result.profile, space, cfg)
+        verification = verify_equilibrium(
+            scenario.system, result.profile, space, cfg, cache=cache
+        )
 
     write_csv(
         out / "equilibrium_criteria.csv",
@@ -234,9 +237,10 @@ def _cmd_perturb(scenario, args, out, prov):
     if x0 is None:
         x0 = (scenario.partition.lower + scenario.partition.upper) / 2.0
     rows = []
+    held = _HeldNoise()
     for eps in noise.epsilon_list:
         ends = ensemble_endpoints(
-            scenario.system, scenario.profile, noise, eps, x0, path_cfg
+            scenario.system, scenario.profile, noise, eps, x0, path_cfg, _held_noise=held
         )
         mean = ends.mean(axis=0)
         var = ends.var(axis=0)

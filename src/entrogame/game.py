@@ -151,16 +151,26 @@ class GameConfig:
 
 
 class OperatorCache:
-    """Build-once store of grid operators keyed by (profile, time).
+    """Build-once store of grid operators and stationary solves of one run.
 
-    Leakage rejections are remembered too, so a candidate rejected at some
-    time is not rebuilt on every later query.
+    Operators are keyed by (profile, time).  Leakage rejections are
+    remembered too, so a candidate rejected at some time is not rebuilt on
+    every later query, and a remembered rejection carries the message of
+    the original one.  :meth:`stationary` memoises the stationary solve of
+    an operator under the same key.
+
+    A cache is bound to one system and one :class:`GameConfig`; functions
+    that take a ``cache`` argument refuse one bound elsewhere.  Use one
+    cache per run: the CLI ``equilibrium`` subcommand hands the cache of its
+    search to the verification, whose unilateral deviations the search's
+    last round has already built.
     """
 
     def __init__(self, system, cfg):
         self.system = system
         self.cfg = cfg
         self._store = {}
+        self._stationary = {}
 
     def operator(self, profile, t):
         key = (profile.key(), float(t))
@@ -186,6 +196,36 @@ class OperatorCache:
         self._store[key] = ("ok", P)
         return P
 
+    def stationary(self, profile, t):
+        """Stationary solve of the operator at ``(profile, t)``, computed once.
+
+        Power iteration from ``cfg.theta_ref`` with ``cfg.stationary_tol``
+        and ``cfg.stationary_max_iter``.  A solve that does not converge is
+        not remembered: its ``NonConvergenceError`` propagates on every call.
+        """
+        key = (profile.key(), float(t))
+        solve = self._stationary.get(key)
+        if solve is None:
+            solve = stationary_density(
+                self.operator(profile, t),
+                self.cfg.theta_ref,
+                tol=self.cfg.stationary_tol,
+                max_iter=self.cfg.stationary_max_iter,
+            )
+            self._stationary[key] = solve
+        return solve
+
+
+def _run_cache(system, cfg, cache):
+    """``cache`` after checking its binding, or a new cache when it is None."""
+    if cache is None:
+        return OperatorCache(system, cfg)
+    if cache.system is not system or cache.cfg is not cfg:
+        raise ConfigurationError(
+            "cache: built for another system or game config than the one passed"
+        )
+    return cache
+
 
 def criterion(system, profile, channel, cfg, cache=None):
     """Relative-entropy score of a full profile on the time grid.
@@ -198,8 +238,7 @@ def criterion(system, profile, channel, cfg, cache=None):
     """
     if not 1 <= channel <= system.n_channels:
         raise ConfigurationError(f"channel: {channel} outside 1..{system.n_channels}")
-    if cache is None:
-        cache = OperatorCache(system, cfg)
+    cache = _run_cache(system, cfg, cache)
     out = np.empty(len(cfg.time_grid))
     for k, t in enumerate(cfg.time_grid):
         P = cache.operator(profile, t)
@@ -266,8 +305,7 @@ def best_response(system, profile, channel, space, cfg, cache=None):
     """
     if not 1 <= channel <= space.n_channels:
         raise ConfigurationError(f"channel: {channel} outside 1..{space.n_channels}")
-    if cache is None:
-        cache = OperatorCache(system, cfg)
+    cache = _run_cache(system, cfg, cache)
     k, _, _ = _best_response_index(system, profile, channel, space, cfg, cache)
     return space.gain(channel, k)
 
@@ -309,7 +347,7 @@ def _match_initial_indices(space, profile):
     return indices
 
 
-def find_equilibrium(system, space, cfg, initial_profile):
+def find_equilibrium(system, space, cfg, initial_profile, cache=None):
     """Round-robin best response until a full round changes no channel.
 
     On convergence the stationary density of the operator at the largest
@@ -318,12 +356,17 @@ def find_equilibrium(system, space, cfg, initial_profile):
     the final profile.  A non-converged search returns a result with
     ``converged=False`` and the visited profiles in ``history`` rather
     than raising.
+
+    ``cache`` is an :class:`OperatorCache` for ``system`` and ``cfg`` to
+    build into, so that :func:`verify_equilibrium` can reuse the search's
+    operators and stationary solve; a new one is made when it is None.  A
+    cache bound to another system or config raises ``ConfigurationError``.
     """
     if space.n_channels != system.n_channels:
         raise ConfigurationError(
             f"space: {space.n_channels} channels for a {system.n_channels}-channel system"
         )
-    cache = OperatorCache(system, cfg)
+    cache = _run_cache(system, cfg, cache)
     indices = _match_initial_indices(space, initial_profile)
     profile = space.profile(indices)
     history = [tuple(indices)]
@@ -345,15 +388,7 @@ def find_equilibrium(system, space, cfg, initial_profile):
     crit = criterion(system, profile, 1, cfg, cache)
     per_channel = np.vstack([crit for _ in range(space.n_channels)])
 
-    t_max = cfg.time_grid[-1]
-    P_max = cache.operator(profile, t_max)
-    solve = stationary_density(
-        P_max,
-        cfg.theta_ref,
-        tol=cfg.stationary_tol,
-        max_iter=cfg.stationary_max_iter,
-    )
-    theta_star = solve.density
+    theta_star = cache.stationary(profile, cfg.time_grid[-1]).density
     h_star = entropy(theta_star).value
 
     l1s = []
@@ -413,7 +448,7 @@ class PerDensityCheck:
     condition3_margin: float
 
 
-def verify_equilibrium(system, profile, space, cfg, extra_densities=()):
+def verify_equilibrium(system, profile, space, cfg, extra_densities=(), cache=None):
     """Re-check the three equilibrium conditions for a given profile.
 
     The criterion dominance is re-evaluated per grid time against every
@@ -422,24 +457,25 @@ def verify_equilibrium(system, profile, space, cfg, extra_densities=()):
     stability filter are recorded in ``rejected`` and treated as
     non-improving.  A two-sided report with worst margins is returned; a
     condition passes when its margin is at most ``cfg.tol``.
+
+    ``cache`` is an :class:`OperatorCache` for ``system`` and ``cfg``,
+    typically the one :func:`find_equilibrium` filled: operators, leakage
+    rejections and the stationary solve it holds are reused, and the report
+    is the same as with a new cache.  A cache bound to another system or
+    config raises ``ConfigurationError``.
     """
     if space.n_channels != system.n_channels:
         raise ConfigurationError(
             f"space: {space.n_channels} channels for a {system.n_channels}-channel system"
         )
-    cache = OperatorCache(system, cfg)
+    cache = _run_cache(system, cfg, cache)
     densities = [cfg.theta_ref] + list(extra_densities)
     for theta in densities:
         if not theta.partition.matches(cfg.theta_ref.partition):
             raise ConfigurationError("extra densities must share the reference partition")
         theta.require_unit_mass()
 
-    t_max = cfg.time_grid[-1]
-    P_max = cache.operator(profile, t_max)
-    solve = stationary_density(
-        P_max, cfg.theta_ref, tol=cfg.stationary_tol, max_iter=cfg.stationary_max_iter
-    )
-    theta_star = solve.density
+    theta_star = cache.stationary(profile, cfg.time_grid[-1]).density
     h_star = entropy(theta_star).value
 
     def scores(prof, theta):
@@ -643,11 +679,7 @@ def entropy_decay_trace(system, profile, theta_list, t_grid, cfg):
     ):
         raise ConfigurationError("t_grid: must be strictly increasing with first entry > 0")
     cache = OperatorCache(system, cfg)
-    P_max = cache.operator(profile, grid[-1])
-    solve = stationary_density(
-        P_max, cfg.theta_ref, tol=cfg.stationary_tol, max_iter=cfg.stationary_max_iter
-    )
-    theta_star = solve.density
+    theta_star = cache.stationary(profile, grid[-1]).density
     h_star = entropy(theta_star).value
     vol = cfg.theta_ref.partition.cell_volume
 

@@ -419,17 +419,21 @@ def simulate_sde(system, profile, noise, eps, x0, path_cfg, path=0, cell=0):
     return trajectory
 
 
-def ensemble_endpoints(system, profile, noise, eps, x0, path_cfg, cell=0):
+def ensemble_endpoints(
+    system, profile, noise, eps, x0, path_cfg, cell=0, *, _held_noise=None
+):
     """Endpoints of ``n_paths`` trajectories from a common start.
 
     Path ``p`` uses the stream keyed ``(seed, cell, p)``.  Returns an array
-    of shape ``(n_paths, d)``.
+    of shape ``(n_paths, d)``.  ``_held_noise`` is a private
+    :class:`_HeldNoise` through which consecutive calls on the same streams,
+    such as the noisy epsilons of a sweep, share their normals.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     starts = np.broadcast_to(x0, (path_cfg.n_paths, x0.shape[0])).copy()
     return _integrate_paths(
         system, profile, noise, eps, starts, path_cfg.h, path_cfg.n_steps,
-        path_cfg.seed, path_cfg.n_paths, first_cell=cell,
+        path_cfg.seed, path_cfg.n_paths, first_cell=cell, held=_held_noise,
     )
 
 

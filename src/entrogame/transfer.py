@@ -23,6 +23,7 @@ inner products make the two actions adjoint up to rounding.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -100,7 +101,7 @@ class Partition:
     def dim(self):
         return self.lower.shape[0]
 
-    @property
+    @cached_property
     def cell_count(self):
         return int(np.prod(self.cells_per_axis))
 
@@ -108,7 +109,7 @@ class Partition:
     def widths(self):
         return (self.upper - self.lower) / self.cells_per_axis
 
-    @property
+    @cached_property
     def cell_volume(self):
         return float(np.prod(self.widths))
 
