@@ -80,7 +80,7 @@ def _out_dir(scenario, args):
     return out
 
 
-def _deterministic_operator(scenario, threads):
+def _deterministic_operator(scenario):
     fm = flow_map(
         scenario.system, scenario.profile, 0.0, scenario.t_step,
         scenario.integration_steps,
@@ -90,7 +90,6 @@ def _deterministic_operator(scenario, threads):
         fm,
         scenario.samples_per_cell,
         leak_tol=scenario.leak_tol,
-        threads=threads,
     )
 
 
@@ -107,14 +106,14 @@ def _trace_densities(scenario):
 
 
 def _cmd_ulam(scenario, args, out, prov):
-    P = _deterministic_operator(scenario, args.threads)
+    P = _deterministic_operator(scenario)
     write_ulam(P, out / "ulam.csv", provenance=prov)
     print(f"wrote {out / 'ulam.csv'}")
     return 0
 
 
 def _cmd_stationary(scenario, args, out, prov):
-    P = _deterministic_operator(scenario, args.threads)
+    P = _deterministic_operator(scenario)
     theta0 = scenario.reference_density() if scenario.game else None
     if theta0 is None:
         from .transfer import DensityVector
@@ -144,7 +143,7 @@ def _cmd_stationary(scenario, args, out, prov):
 
 def _cmd_entropy_trace(scenario, args, out, prov):
     game = scenario.require_game()
-    cfg = scenario.game_config(threads=args.threads)
+    cfg = scenario.game_config()
     thetas = _trace_densities(scenario)
     trace = entropy_decay_trace(
         scenario.system, scenario.profile, thetas, game["time_grid"], cfg
@@ -173,7 +172,7 @@ def _cmd_entropy_trace(scenario, args, out, prov):
 
 
 def _cmd_equilibrium(scenario, args, out, prov):
-    cfg = scenario.game_config(threads=args.threads)
+    cfg = scenario.game_config()
     space = scenario.strategy_space()
     cache = OperatorCache(scenario.system, cfg)
     result = find_equilibrium(scenario.system, space, cfg, scenario.profile, cache=cache)
@@ -183,13 +182,14 @@ def _cmd_equilibrium(scenario, args, out, prov):
             scenario.system, result.profile, space, cfg, cache=cache
         )
 
+    # The score is per profile, so every channel's rows repeat one vector.
     write_csv(
         out / "equilibrium_criteria.csv",
         ["channel", "t", "criterion"],
         [
-            (j + 1, t, result.per_channel_criteria[j, k])
-            for j in range(result.per_channel_criteria.shape[0])
-            for k, t in enumerate(cfg.time_grid)
+            (j, t, value)
+            for j in range(1, space.n_channels + 1)
+            for t, value in zip(cfg.time_grid, result.criterion)
         ],
     )
     payload = {
@@ -268,7 +268,7 @@ def _cmd_resilience(scenario, args, out, prov):
     scenario.require_game()
     scenario.require_perturb()
     noise = scenario.noise_spec()
-    cfg = scenario.game_config(threads=args.threads)
+    cfg = scenario.game_config()
     path_cfg = scenario.path_config(seed_override=args.seed)
     thetas = _trace_densities(scenario)
     space = None
@@ -340,6 +340,8 @@ def main(argv=None):
         scenario = load_scenario(args.config)
         if args.threads is None or args.threads < 1:
             raise ConfigurationError(f"--threads: must be >= 1, got {args.threads!r}")
+        if args.kl_floor is not None and not (np.isfinite(args.kl_floor) and args.kl_floor > 0):
+            raise ConfigurationError(f"--kl-floor: must be finite and > 0, got {args.kl_floor!r}")
         out = _out_dir(scenario, args)
         prov = _provenance(scenario, args)
         return _COMMANDS[args.command](scenario, args, out, prov)

@@ -117,7 +117,7 @@ class ScenarioConfig:
             )
         return theta
 
-    def game_config(self, threads=1):
+    def game_config(self):
         game = self.require_game()
         return GameConfig(
             time_grid=game["time_grid"],
@@ -129,7 +129,6 @@ class ScenarioConfig:
             integration_steps=self.integration_steps,
             stationary_tol=self.stationary_tol,
             stationary_max_iter=self.stationary_max_iter,
-            threads=threads,
         )
 
     def strategy_space(self):

@@ -10,6 +10,10 @@ the worst score over the time grid, breaking ties toward the lowest
 candidate index.  Round-robin best response over channels 1..N is iterated
 until a full round changes nothing.
 
+Every channel minimises the same function of the full profile, so the game
+is identical-interest, an exact potential game (Monderer and Shapley,
+"Potential games", GEB 14, 1996): the score is per profile, not per channel.
+
 Candidates whose closed loop pushes too much mass out of the truncation
 box (leakage above tolerance) or fails the optional stability filter are
 skipped; if a channel loses every candidate this way the search stops with
@@ -131,7 +135,6 @@ class GameConfig:
     integration_steps: int = 200
     stationary_tol: float = 1e-10
     stationary_max_iter: int = 5000
-    threads: int = 1
 
     def __post_init__(self):
         grid = tuple(float(t) for t in self.time_grid)
@@ -151,13 +154,14 @@ class GameConfig:
 
 
 class OperatorCache:
-    """Build-once store of grid operators and stationary solves of one run.
+    """Build-once store of the grid operators and scores of one run.
 
     Operators are keyed by (profile, time).  Leakage rejections are
     remembered too, so a candidate rejected at some time is not rebuilt on
     every later query, and a remembered rejection carries the message of
     the original one.  :meth:`stationary` memoises the stationary solve of
-    an operator under the same key.
+    an operator under the same key, and :meth:`scores` the score of a
+    profile, which all channels share because the game is identical-interest.
 
     A cache is bound to one system and one :class:`GameConfig`; functions
     that take a ``cache`` argument refuse one bound elsewhere.  Use one
@@ -171,6 +175,7 @@ class OperatorCache:
         self.cfg = cfg
         self._store = {}
         self._stationary = {}
+        self._scores = {}
 
     def operator(self, profile, t):
         key = (profile.key(), float(t))
@@ -187,7 +192,6 @@ class OperatorCache:
                 fm,
                 self.cfg.samples_per_cell,
                 leak_tol=self.cfg.leak_tol,
-                threads=self.cfg.threads,
             )
         except DomainEscapeError as exc:
             msg = f"profile {profile.hash_hex()} at t={t:.6g}: {exc}"
@@ -215,6 +219,28 @@ class OperatorCache:
             self._stationary[key] = solve
         return solve
 
+    def scores(self, profile, theta):
+        """Renormalised push-forwards of ``theta`` over ``cfg.time_grid``, once.
+
+        Returns ``(pushed, rel, ent)``: the push-forwards, their relative
+        entropy to ``theta`` and their entropy, as read-only arrays.
+        ``theta`` is keyed by identity and held by the cache, so its id is
+        not reused.  Errors propagate and are not remembered here.
+        """
+        key = (profile.key(), id(theta))
+        if key not in self._scores:
+            pushed = []
+            rel = np.empty(len(self.cfg.time_grid))
+            ent = np.empty(len(self.cfg.time_grid))
+            for k, t in enumerate(self.cfg.time_grid):
+                pushed.append(apply_fp(self.operator(profile, t), theta, renormalize=True))
+                rel[k] = relative_entropy(pushed[k], theta)
+                ent[k] = entropy(pushed[k]).value
+            rel.setflags(write=False)
+            ent.setflags(write=False)
+            self._scores[key] = (theta, (tuple(pushed), rel, ent))
+        return self._scores[key][1]
+
 
 def _run_cache(system, cfg, cache):
     """``cache`` after checking its binding, or a new cache when it is None."""
@@ -227,24 +253,17 @@ def _run_cache(system, cfg, cache):
     return cache
 
 
-def criterion(system, profile, channel, cfg, cache=None):
+def criterion(system, profile, cfg, cache=None):
     """Relative-entropy score of a full profile on the time grid.
 
     Entry ``k`` is the relative entropy of the renormalised push-forward
     of ``cfg.theta_ref`` over ``[0, time_grid[k]]`` against
-    ``cfg.theta_ref``.  The value depends on the full profile only; the
-    ``channel`` argument identifies whose score sheet is being filled and
-    is validated but does not change the numbers.
+    ``cfg.theta_ref``.  The game is identical-interest: every channel
+    minimises this one function of the full profile, so the score is per
+    profile and takes no channel.  It is read from the memo of ``cache``
+    (:meth:`OperatorCache.scores`), and the returned array is read-only.
     """
-    if not 1 <= channel <= system.n_channels:
-        raise ConfigurationError(f"channel: {channel} outside 1..{system.n_channels}")
-    cache = _run_cache(system, cfg, cache)
-    out = np.empty(len(cfg.time_grid))
-    for k, t in enumerate(cfg.time_grid):
-        P = cache.operator(profile, t)
-        pushed = apply_fp(P, cfg.theta_ref, renormalize=True)
-        out[k] = relative_entropy(pushed, cfg.theta_ref)
-    return out
+    return _run_cache(system, cfg, cache).scores(profile, cfg.theta_ref)[1]
 
 
 def _is_hurwitz(system, profile):
@@ -271,9 +290,8 @@ def _unilateral_deviations(profile, space):
 
 
 def _best_response_index(system, profile, channel, space, cfg, cache):
-    """(index, criterion vector) of the best candidate; collects rejections."""
+    """Index of the best candidate; every rejected one is named on failure."""
     best_k = None
-    best_vec = None
     best_obj = None
     rejections = []
     for k, L in enumerate(space.candidates[channel - 1]):
@@ -282,19 +300,19 @@ def _best_response_index(system, profile, channel, space, cfg, cache):
             rejections.append((k, "stability filter"))
             continue
         try:
-            vec = criterion(system, cand_profile, channel, cfg, cache)
+            vec = criterion(system, cand_profile, cfg, cache)
         except DomainEscapeError as exc:
             rejections.append((k, f"leakage: {exc}"))
             continue
         obj = float(np.max(vec))
         if best_obj is None or obj < best_obj:
-            best_k, best_vec, best_obj = k, vec, obj
+            best_k, best_obj = k, obj
     if best_k is None:
         detail = "; ".join(f"candidate {k}: {why}" for k, why in rejections)
         raise EmptyStrategyError(
             f"channel {channel}: every candidate was rejected ({detail})"
         )
-    return best_k, best_vec, rejections
+    return best_k
 
 
 def best_response(system, profile, channel, space, cfg, cache=None):
@@ -306,7 +324,7 @@ def best_response(system, profile, channel, space, cfg, cache=None):
     if not 1 <= channel <= space.n_channels:
         raise ConfigurationError(f"channel: {channel} outside 1..{space.n_channels}")
     cache = _run_cache(system, cfg, cache)
-    k, _, _ = _best_response_index(system, profile, channel, space, cfg, cache)
+    k = _best_response_index(system, profile, channel, space, cfg, cache)
     return space.gain(channel, k)
 
 
@@ -314,9 +332,9 @@ def best_response(system, profile, channel, space, cfg, cache=None):
 class EquilibriumResult:
     """Outcome of the round-robin best-response iteration.
 
-    ``per_channel_criteria`` holds one criterion row per channel for the
-    final profile (rows agree because the score depends on the full
-    profile).  ``l1_to_stationary`` and ``fixed_point_residuals`` report
+    ``criterion`` is the score of the final profile over the time grid.
+    The game is identical-interest, so this one vector is every channel's
+    score.  ``l1_to_stationary`` and ``fixed_point_residuals`` report
     the convergence-to-stationary condition across the time grid;
     ``entropy_condition_ok`` reports the entropy dominance condition for
     the final profile.  ``history`` logs the visited candidate-index
@@ -324,7 +342,7 @@ class EquilibriumResult:
     """
 
     profile: FeedbackProfile
-    per_channel_criteria: np.ndarray
+    criterion: np.ndarray
     stationary: DensityVector
     stationary_entropy: float
     rounds: int
@@ -375,7 +393,7 @@ def find_equilibrium(system, space, cfg, initial_profile, cache=None):
     for rounds in range(1, cfg.max_rounds + 1):
         changed = False
         for j in range(1, space.n_channels + 1):
-            k, _, _ = _best_response_index(system, profile, j, space, cfg, cache)
+            k = _best_response_index(system, profile, j, space, cfg, cache)
             if k != indices[j - 1]:
                 indices[j - 1] = k
                 profile = space.profile(indices)
@@ -385,33 +403,23 @@ def find_equilibrium(system, space, cfg, initial_profile, cache=None):
             converged = True
             break
 
-    crit = criterion(system, profile, 1, cfg, cache)
-    per_channel = np.vstack([crit for _ in range(space.n_channels)])
-
+    pushed, crit, ents = cache.scores(profile, cfg.theta_ref)
     theta_star = cache.stationary(profile, cfg.time_grid[-1]).density
     h_star = entropy(theta_star).value
 
-    l1s = []
-    residuals = []
-    entropy_ok = True
-    for t in cfg.time_grid:
-        P_t = cache.operator(profile, t)
-        pushed = apply_fp(P_t, cfg.theta_ref, renormalize=True)
-        l1s.append(l1_distance(pushed, theta_star))
-        residuals.append(invariance_check(P_t, theta_star))
-        if entropy(pushed).value > h_star + cfg.tol:
-            entropy_ok = False
-
     return EquilibriumResult(
         profile=profile,
-        per_channel_criteria=per_channel,
+        criterion=crit,
         stationary=theta_star,
         stationary_entropy=h_star,
         rounds=rounds,
         converged=converged,
-        l1_to_stationary=tuple(l1s),
-        fixed_point_residuals=tuple(residuals),
-        entropy_condition_ok=entropy_ok,
+        l1_to_stationary=tuple(l1_distance(p, theta_star) for p in pushed),
+        fixed_point_residuals=tuple(
+            invariance_check(cache.operator(profile, t), theta_star)
+            for t in cfg.time_grid
+        ),
+        entropy_condition_ok=bool(np.all(ents <= h_star + cfg.tol)),
         history=tuple(history),
     )
 
@@ -478,16 +486,6 @@ def verify_equilibrium(system, profile, space, cfg, extra_densities=(), cache=No
     theta_star = cache.stationary(profile, cfg.time_grid[-1]).density
     h_star = entropy(theta_star).value
 
-    def scores(prof, theta):
-        vals = np.empty(len(cfg.time_grid))
-        ents = np.empty(len(cfg.time_grid))
-        for k, t in enumerate(cfg.time_grid):
-            P = cache.operator(prof, t)
-            pushed = apply_fp(P, theta, renormalize=True)
-            vals[k] = relative_entropy(pushed, theta)
-            ents[k] = entropy(pushed).value
-        return vals, ents
-
     rejected = []
     per_density = []
     worst1 = -np.inf
@@ -501,23 +499,19 @@ def verify_equilibrium(system, profile, space, cfg, extra_densities=(), cache=No
         deviation_profiles.append((j, k, cand_profile))
 
     for idx, theta in enumerate(densities):
-        eq_vals, eq_ents = scores(profile, theta)
+        eq_pushed, eq_vals, eq_ents = cache.scores(profile, theta)
         margin1 = -np.inf
         margin3 = float(np.max(eq_ents) - h_star)
         for j, k, cand_profile in deviation_profiles:
             try:
-                dev_vals, dev_ents = scores(cand_profile, theta)
+                _, dev_vals, dev_ents = cache.scores(cand_profile, theta)
             except DomainEscapeError as exc:
                 if idx == 0:
                     rejected.append((j, k, f"leakage: {exc}"))
                 continue
             margin1 = max(margin1, float(np.max(eq_vals - dev_vals)))
             margin3 = max(margin3, float(np.max(dev_ents) - h_star))
-        dists = np.empty(len(cfg.time_grid))
-        for k, t in enumerate(cfg.time_grid):
-            P = cache.operator(profile, t)
-            pushed = apply_fp(P, theta, renormalize=True)
-            dists[k] = l1_distance(pushed, theta_star)
+        dists = [l1_distance(p, theta_star) for p in eq_pushed]
         margin2 = float(np.max(np.diff(dists))) if len(dists) > 1 else 0.0
         if margin1 == -np.inf:
             margin1 = 0.0

@@ -597,10 +597,10 @@ def resilience_report(
     list position), the L1 distance and relative entropy between the
     renormalised perturbed and deterministic push-forwards are recorded.
     An epsilon of exactly zero denotes the deterministic operator itself,
-    so its rows are identically zero.  ``kl_floor`` adds the given floor to
-    the reference density inside the divergence so entries stay finite when
-    diffusion spreads mass outside the deterministic support; without it,
-    such entries are NaN and the violation mass is still reported.
+    so its rows are identically zero.  ``kl_floor`` (finite, > 0) adds that
+    floor to the reference density inside the divergence so entries stay
+    finite when diffusion spreads mass outside the deterministic support;
+    without it, such entries are NaN and the violation mass is reported.
 
     With ``with_deviations=True`` (requires ``space``) every unilateral
     candidate deviation from ``profile`` is swept as well: the perturbed
@@ -610,6 +610,8 @@ def resilience_report(
     """
     if with_deviations and space is None:
         raise ConfigurationError("with_deviations: a strategy space is required")
+    if kl_floor is not None and not (np.isfinite(kl_floor) and kl_floor > 0):
+        raise ConfigurationError(f"kl_floor: must be finite and > 0, got {kl_floor!r}")
     thetas = list(theta_list)
     if not thetas:
         raise ConfigurationError("theta_list: must contain at least one density")
@@ -654,7 +656,7 @@ def resilience_report(
                 continue
             P_eps = build_stochastic_ulam(
                 cfg.theta_ref.partition, system, profile, noise, eps, t, path_cfg,
-                leak_tol=cfg.leak_tol, threads=cfg.threads, _held_noise=held,
+                leak_tol=cfg.leak_tol, _held_noise=held,
             )
             for i, theta in enumerate(thetas):
                 pushed = apply_fp(P_eps, theta, renormalize=True)
@@ -666,8 +668,7 @@ def resilience_report(
             for label, dev_profile in deviation_profiles:
                 P_dev = build_stochastic_ulam(
                     cfg.theta_ref.partition, system, dev_profile, noise, eps, t,
-                    path_cfg, leak_tol=cfg.leak_tol, threads=cfg.threads,
-                    _held_noise=held,
+                    path_cfg, leak_tol=cfg.leak_tol, _held_noise=held,
                 )
                 for i, theta in enumerate(thetas):
                     pushed = apply_fp(P_dev, theta, renormalize=True)

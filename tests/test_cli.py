@@ -269,6 +269,14 @@ def test_resilience_leak_rejection_exits_3(tmp_path, capsys):
     assert "numerical rejection:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("floor", ["-1", "0", "nan", "inf"])
+def test_bad_kl_floor_is_a_usage_error(tmp_path, capsys, floor):
+    rc, out, _ = run(tmp_path, "resilience", resilience_scenario(), extra=("--kl-floor", floor))
+    assert rc == 2
+    assert "--kl-floor" in capsys.readouterr().err
+    assert not (out / "resilience.csv").exists()
+
+
 def test_bad_thread_count_is_a_usage_error(tmp_path, capsys):
     rc, _, _ = run(tmp_path, "ulam", extra=("--threads", "0"))
     assert rc == 2

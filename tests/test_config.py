@@ -80,9 +80,8 @@ def test_blocks_are_optional_but_guarded():
 
 def test_accessors_build_runtime_objects():
     cfg = parse_scenario(base_scenario())
-    game_cfg = cfg.game_config(threads=3)
+    game_cfg = cfg.game_config()
     assert game_cfg.time_grid == (0.5, 1.0)
-    assert game_cfg.threads == 3
     assert game_cfg.samples_per_cell == 8
     assert game_cfg.theta_ref.mass == pytest.approx(1.0)
 

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -63,7 +65,7 @@ def manual_worst_score(system, profile, cfg):
 def test_criterion_of_the_identity_flow_is_exactly_zero():
     system = scalar_system()
     cfg = sum_zero_config()
-    vec = criterion(system, scalar_profile(0.0), 1, cfg)
+    vec = criterion(system, scalar_profile(0.0), cfg)
     assert vec.shape == (2,)
     assert np.array_equal(vec, np.zeros(2))
 
@@ -79,26 +81,28 @@ def test_criterion_of_halving_flow_hits_log_two():
         theta_ref=DensityVector.uniform(part),
         samples_per_cell=8,
     )
-    vec = criterion(system, scalar_profile(-1.0), 1, cfg)
+    vec = criterion(system, scalar_profile(-1.0), cfg)
     assert vec[0] == pytest.approx(np.log(2.0), abs=1e-12)
 
 
 def test_criterion_is_channel_blind():
+    # One score per profile: no channel argument, and a second read of the
+    # same profile returns the memoised vector itself.
+    assert "channel" not in inspect.signature(criterion).parameters
     system = two_channel_system()
     cfg = sum_zero_config()
     profile = two_channel_profile(-0.3, -0.1)
-    v1 = criterion(system, profile, 1, cfg)
-    v2 = criterion(system, profile, 2, cfg)
-    assert np.array_equal(v1, v2)
-    with pytest.raises(ConfigurationError, match="channel"):
-        criterion(system, profile, 3, cfg)
+    cache = OperatorCache(system, cfg)
+    vec = criterion(system, profile, cfg, cache)
+    assert criterion(system, profile, cfg, cache) is vec
+    assert np.array_equal(vec, criterion(system, profile, cfg))
 
 
 def test_criterion_matches_manual_recomputation():
     system = scalar_system()
     cfg = sum_zero_config()
     for gain in (-0.3, -0.8):
-        vec = criterion(system, scalar_profile(gain), 1, cfg)
+        vec = criterion(system, scalar_profile(gain), cfg)
         assert float(np.max(vec)) == pytest.approx(
             manual_worst_score(system, scalar_profile(gain), cfg), abs=1e-12
         )
@@ -219,8 +223,8 @@ def test_equilibrium_result_reports_stationary_conditions():
     assert result.l1_to_stationary == (0.0, 0.0)
     assert result.fixed_point_residuals == (0.0, 0.0)
     assert result.entropy_condition_ok
-    assert result.per_channel_criteria.shape == (2, 2)
-    assert np.array_equal(result.per_channel_criteria, np.zeros((2, 2)))
+    assert result.criterion.shape == (2,)
+    assert np.array_equal(result.criterion, np.zeros(2))
 
 
 def test_round_budget_exhaustion_reports_non_convergence():

@@ -253,6 +253,15 @@ def test_resilience_without_floor_reports_nan_and_violation_mass():
     assert not report.monotone_flag
 
 
+@pytest.mark.parametrize("floor", [-1.0, 0.0, float("nan"), float("inf")])
+def test_resilience_refuses_a_floor_that_is_not_finite_and_positive(floor):
+    system, profile, cfg, path_cfg, thetas = resilience_setup()
+    with pytest.raises(ConfigurationError, match="kl_floor"):
+        resilience_report(
+            system, profile, unit_noise(0.1), cfg, path_cfg, thetas, kl_floor=floor
+        )
+
+
 def test_resilience_deviation_sweep_is_separated():
     system, profile, cfg, path_cfg, thetas = resilience_setup()
     noise = unit_noise(0.1, 0.0)

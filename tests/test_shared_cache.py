@@ -75,7 +75,7 @@ def assert_same_search(a, b):
     assert a.rounds == b.rounds
     assert a.converged == b.converged
     assert a.history == b.history
-    assert np.array_equal(a.per_channel_criteria, b.per_channel_criteria)
+    assert np.array_equal(a.criterion, b.criterion)
     assert np.array_equal(a.stationary.values, b.stationary.values)
     assert a.stationary_entropy == b.stationary_entropy
     assert a.l1_to_stationary == b.l1_to_stationary
@@ -135,21 +135,39 @@ def test_shared_cache_equals_independent_caches_on_bench_style_games(tmp_path, s
 
 def test_cli_equilibrium_builds_each_operator_and_solves_once(tmp_path, monkeypatch):
     keys = set()
+    built_keys = set()
     builds = []
     solves = []
+    pushes = []
+    scores = []
     operator = game_mod.OperatorCache.operator
     build = game_mod.build_ulam
     solve = game_mod.stationary_density
+    push = game_mod.apply_fp
+    score = game_mod.criterion
 
     def keyed_operator(self, profile, t):
         keys.add((profile.key(), float(t)))
-        return operator(self, profile, t)
+        P = operator(self, profile, t)
+        built_keys.add((profile.key(), float(t)))
+        return P
+
+    def counted_push(matrix, theta, renormalize=False):
+        if renormalize:
+            pushes.append(1)
+        return push(matrix, theta, renormalize=renormalize)
+
+    def kept_score(*args):
+        scores.append(score(*args))
+        return scores[-1]
 
     monkeypatch.setattr(game_mod.OperatorCache, "operator", keyed_operator)
     monkeypatch.setattr(game_mod, "build_ulam", lambda *a, **k: builds.append(1) or build(*a, **k))
     monkeypatch.setattr(
         game_mod, "stationary_density", lambda *a, **k: solves.append(1) or solve(*a, **k)
     )
+    monkeypatch.setattr(game_mod, "apply_fp", counted_push)
+    monkeypatch.setattr(game_mod, "criterion", kept_score)
     path, _ = load(tmp_path, bench_style_game(1, leaky=True))
     rc = cli_mod.main(["equilibrium", "--config", str(path), "--out", str(tmp_path / "out")])
     assert rc == 0
@@ -158,6 +176,11 @@ def test_cli_equilibrium_builds_each_operator_and_solves_once(tmp_path, monkeypa
     # Every distinct key is built once, the rejected ones included.
     assert len(builds) == len(keys)
     assert len(solves) == 1
+    # The reference is pushed once through every operator that was built:
+    # the score of a profile is memoised, not recomputed per channel or check.
+    assert len(pushes) == len(built_keys) < len(keys)
+    # A caller cannot write into the memo through criterion's result.
+    assert scores and not any(vec.flags.writeable for vec in scores)
 
 
 def test_stationary_is_memoised_but_non_convergence_is_not(monkeypatch):
@@ -196,6 +219,6 @@ def test_a_cache_bound_elsewhere_is_refused():
         with pytest.raises(ConfigurationError, match="cache"):
             verify_equilibrium(system, start, space, cfg, cache=cache)
         with pytest.raises(ConfigurationError, match="cache"):
-            criterion(system, start, 1, cfg, cache)
+            criterion(system, start, cfg, cache)
         with pytest.raises(ConfigurationError, match="cache"):
             best_response(system, start, 1, space, cfg, cache)
