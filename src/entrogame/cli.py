@@ -93,8 +93,8 @@ def _deterministic_operator(scenario):
     )
 
 
-def _trace_densities(scenario):
-    thetas = [scenario.reference_density()]
+def _trace_densities(scenario, cfg):
+    thetas = [cfg.theta_ref]
     for path in (scenario.game or {}).get("trace_densities", ()):
         theta = read_density(Path(path))
         if not theta.partition.matches(scenario.partition):
@@ -114,14 +114,9 @@ def _cmd_ulam(scenario, args, out, prov):
 
 def _cmd_stationary(scenario, args, out, prov):
     P = _deterministic_operator(scenario)
-    theta0 = scenario.reference_density() if scenario.game else None
-    if theta0 is None:
-        from .transfer import DensityVector
-
-        theta0 = DensityVector.uniform(scenario.partition)
     result = stationary_density(
         P,
-        theta0,
+        scenario.reference_density(),
         tol=scenario.stationary_tol,
         max_iter=scenario.stationary_max_iter,
         cesaro=scenario.stationary_cesaro,
@@ -144,7 +139,7 @@ def _cmd_stationary(scenario, args, out, prov):
 def _cmd_entropy_trace(scenario, args, out, prov):
     game = scenario.require_game()
     cfg = scenario.game_config()
-    thetas = _trace_densities(scenario)
+    thetas = _trace_densities(scenario, cfg)
     trace = entropy_decay_trace(
         scenario.system, scenario.profile, thetas, game["time_grid"], cfg
     )
@@ -270,7 +265,7 @@ def _cmd_resilience(scenario, args, out, prov):
     noise = scenario.noise_spec()
     cfg = scenario.game_config()
     path_cfg = scenario.path_config(seed_override=args.seed)
-    thetas = _trace_densities(scenario)
+    thetas = _trace_densities(scenario, cfg)
     space = None
     if args.with_deviations:
         space = scenario.strategy_space()

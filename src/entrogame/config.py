@@ -141,9 +141,9 @@ class ScenarioConfig:
         p = self.require_perturb()
         return NoiseSpec(p["sigma"], p["epsilon_list"])
 
-    def path_config(self, seed_override=None, t=None):
+    def path_config(self, seed_override=None):
         p = self.require_perturb()
-        n_steps = max(1, int(round((t if t is not None else p["t"]) / p["h"])))
+        n_steps = max(1, int(round(p["t"] / p["h"])))
         return SdePathConfig(
             h=p["h"],
             n_steps=n_steps,

@@ -3,19 +3,22 @@
 The perturbed state follows ``dZ = M(t) Z dt + sqrt(eps) sigma dW`` with
 the closed-loop drift ``M``.  Paths follow the explicit Euler-Maruyama
 scheme.  Every path draws its normals from a counter-based Philox stream
-keyed by ``(seed, cell, path)``; the step index is the position in that
-stream.  Draws therefore never depend on scheduling or batching, so
-ensembles, grid-operator builds and full resilience reports are
-bit-identical for any thread count.
+keyed by ``(seed, cell, path)``, with cell and path each in
+``0 .. 2**32 - 1``; the step index is the position in that stream.  All
+draws go through one reader, :func:`_draw_normals`.  Draws therefore never
+depend on scheduling or batching, so ensembles, grid-operator builds and
+full resilience reports are bit-identical for any thread count.
 
-Within a schedule segment the drift is constant and the noise additive, so
-the Euler-Maruyama recursion is affine in the normals: it is the discrete
-Ornstein-Uhlenbeck (AR(1)) recursion, and a segment's exit state is
-evaluated in closed form from the powers of its step matrix instead of
-step by step (path scheme 2).  Every row is reduced on its own, so a
-path's endpoint does not depend on the batch or chunk it is computed in.
-The per-step loop remains as the diagnostic walk that names the step and
-cell of a divergence.
+Every path of a horizon follows one segment plan (:func:`_plan`): the runs
+of steps with equal drift, found from the schedule breakpoints in one
+search.  Within a run the drift is constant and the noise additive, so the
+Euler-Maruyama recursion is affine in the normals: it is the discrete
+Ornstein-Uhlenbeck (AR(1)) recursion, and a run's exit state is evaluated
+in closed form from the powers of its step matrix instead of step by step
+(path scheme 2).  Every row is reduced on its own, so a path's endpoint
+does not depend on the batch or chunk it is computed in.  The per-step
+loop remains as the diagnostic walk over the same runs that names the step
+and cell of a divergence.
 
 The perturbed grid operator is a Monte Carlo variant of the deterministic
 cell-counting build: at least 100 paths per cell start on a stratified
@@ -117,55 +120,43 @@ class SdePathConfig:
             raise ConfigurationError(f"seed: must be >= 0, got {self.seed!r}")
 
 
-_UINT64_MASK = (1 << 64) - 1
-_ZERO_WORDS = (0, 0, 0, 0)
-
-
-def _stream_word(cell, path):
-    """Second Philox key word of one path: ``cell << 32 | path`` in uint64."""
-    return ((int(cell) << 32) | int(path)) & _UINT64_MASK
-
-
-def _stream_state(seed):
-    """Philox state at the start of a stream keyed ``[seed, 0]``.
-
-    Setting ``state["state"]["key"][1]`` to a :func:`_stream_word` selects
-    the path; the state is built from plain ints, so one dict serves a
-    whole batch of resets.
-    """
-    return {
-        "bit_generator": "Philox",
-        "state": {"counter": _ZERO_WORDS, "key": [int(seed), 0]},
-        "buffer": _ZERO_WORDS,
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-
-
-def _reset_stream(gen, seed, cell, path):
-    """Rewind ``gen`` to the start of the ``(seed, cell, path)`` stream.
-
-    Draws then match a fresh ``Generator(Philox(key=[seed, cell << 32 |
-    path]))`` bit for bit, at a fraction of the cost of building one.
-    """
-    state = _stream_state(seed)
-    state["state"]["key"][1] = _stream_word(cell, path)
-    gen.bit_generator.state = state
-    return gen
+# Cell and path indices each fill one 32-bit half of a stream's key word.
+_STREAM_INDICES = 1 << 32
 
 
 def _draw_normals(seed, first_cell, per_cell, lo, hi, n_steps, d):
     """Standard normals of rows ``lo:hi``, shape ``(hi - lo, n_steps, d)``.
 
     Row ``r`` reads the stream of path ``r % per_cell`` of cell
-    ``first_cell + r // per_cell``.
+    ``first_cell + r // per_cell``: the normals of a fresh
+    ``Generator(Philox(key=[seed, cell << 32 | path]))``, read by rewinding
+    one generator's state per row at a fraction of the cost of building
+    one.  This is the only reader of noise streams.  A cell or path index
+    outside ``0 .. 2**32 - 1`` would share another pair's key, so it raises
+    ``ConfigurationError`` naming the index.
     """
     r = np.arange(lo, hi, dtype=np.uint64)
-    words = (((int(first_cell) + r // int(per_cell)) << 32) | (r % int(per_cell))).tolist()
+    paths = r % np.uint64(per_cell)
+    for name, index in (
+        ("cell", int(first_cell)),
+        ("cell", int(first_cell) + (hi - 1) // int(per_cell)),
+        ("path", int(paths.max())),
+    ):
+        if not 0 <= index < _STREAM_INDICES:
+            raise ConfigurationError(
+                f"{name} {index}: stream indices must lie in 0..{_STREAM_INDICES - 1}"
+            )
+    words = (((int(first_cell) + r // np.uint64(per_cell)) << 32) | paths).tolist()
     bit_generator = np.random.Philox(0)
     gen = np.random.Generator(bit_generator)
-    state = _stream_state(seed)
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": [int(seed), 0]},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
     key = state["state"]["key"]
     xi = np.empty((hi - lo, n_steps, d))
     for word, block in zip(words, xi):
@@ -198,48 +189,30 @@ class _HeldNoise:
         return self._xi
 
 
-def _step_matrices(system, profile, h, n_steps):
-    """Closed-loop drift per step start time, deduplicated by segment."""
-    if not system.schedule:
-        M = closed_loop_matrix(system, profile)
-        return [M], np.zeros(n_steps, dtype=np.intp)
-    breaks = system.breakpoints()
-    mats = []
-    seg_of_step = np.empty(n_steps, dtype=np.intp)
-    last_seg = -1
-    for k in range(n_steps):
-        t = k * h
-        seg = 0
-        for i, b in enumerate(breaks):
-            if b <= t:
-                seg = i
-        if seg != last_seg:
-            mats.append(closed_loop_matrix(system, profile, t))
-            last_seg = seg
-        seg_of_step[k] = len(mats) - 1
-    return mats, seg_of_step
+def _plan(system, profile, noise, eps, d, h, n_steps):
+    """The segment plan of an ``n_steps`` horizon at step size ``h``.
 
-
-def _prepare(system, profile, noise, eps, d, h, n_steps):
+    Returns ``noisy`` (whether any noise enters), ``scale_t``, the noise
+    matrix ``S = (sqrt(eps h) sigma)^T`` of one step in row form, and the
+    runs ``(M^T, first step, step count)`` of steps with equal drift.  Step
+    ``k`` starts at ``k h`` and takes the drift of the last schedule
+    breakpoint at or before that time.
+    """
     if noise.sigma.shape != (d, d):
         raise ConfigurationError(
             f"sigma: shape {noise.sigma.shape} does not match state dimension {d}"
         )
     if eps < 0:
         raise ConfigurationError(f"eps: must be >= 0, got {eps!r}")
-    mats, seg_of_step = _step_matrices(system, profile, h, n_steps)
-    mats_t = [np.ascontiguousarray(M.T) for M in mats]
+    segment = np.searchsorted(system.breakpoints(), np.arange(n_steps) * h, side="right")
+    firsts = [0] + (np.flatnonzero(np.diff(segment)) + 1).tolist()
+    runs = [
+        (np.ascontiguousarray(closed_loop_matrix(system, profile, k0 * h).T), k0, k1 - k0)
+        for k0, k1 in zip(firsts, firsts[1:] + [n_steps])
+    ]
     noisy = eps > 0 and np.any(noise.sigma != 0.0)
     scale_t = np.ascontiguousarray((np.sqrt(eps * h) * noise.sigma).T)
-    return mats_t, seg_of_step, noisy, scale_t
-
-
-def _segment_runs(seg_of_step):
-    """``(segment, first step, step count)`` of each run of equal drift."""
-    cuts = np.flatnonzero(np.diff(seg_of_step)) + 1
-    firsts = [0] + cuts.tolist()
-    ends = cuts.tolist() + [len(seg_of_step)]
-    return [(int(seg_of_step[a]), a, b - a) for a, b in zip(firsts, ends)]
+    return noisy, scale_t, runs
 
 
 def _segment_operators(mat_t, scale_t, h, m, noisy):
@@ -285,22 +258,23 @@ def _advance(Z, xi, powers, kernel, j):
     return out
 
 
-def _walk(Z, xi, mats_t, seg_of_step, scale_t, h, n_steps, trajectory=None):
-    """The Euler-Maruyama recursion one step at a time.
+def _walk(Z, xi, runs, scale_t, h, n_steps, trajectory=None):
+    """The first ``n_steps`` steps of the Euler-Maruyama recursion, one at a time.
 
     Returns the state and, at the first non-finite step, that step and the
     first non-finite row (``None, None`` if every step stays finite).
     ``trajectory`` receives the state after each step.
     """
-    for k in range(n_steps):
-        Z = Z + (Z @ mats_t[seg_of_step[k]]) * h
-        if xi is not None:
-            Z = Z + xi[:, k, :] @ scale_t
-        finite = np.isfinite(Z).all(axis=1)
-        if not finite.all():
-            return Z, k + 1, int(np.argmin(finite))
-        if trajectory is not None:
-            trajectory[k + 1] = Z[0]
+    for mat_t, k0, m in runs:
+        for k in range(k0, min(k0 + m, n_steps)):
+            Z = Z + (Z @ mat_t) * h
+            if xi is not None:
+                Z = Z + xi[:, k, :] @ scale_t
+            finite = np.isfinite(Z).all(axis=1)
+            if not finite.all():
+                return Z, k + 1, int(np.argmin(finite))
+            if trajectory is not None:
+                trajectory[k + 1] = Z[0]
     return Z, None, None
 
 
@@ -311,9 +285,10 @@ def _integrate_paths(
     """Euler-Maruyama endpoints for a batch of paths, in closed form.
 
     ``starts`` has shape (n, d); row ``r`` is path ``r % per_cell`` of cell
-    ``first_cell + r // per_cell`` and draws from that stream.  Rows are
-    integrated in chunks of at most ``_CHUNK_ENTRIES`` noise entries.  Each
-    schedule segment of ``m`` steps maps its entry state ``z`` to
+    ``first_cell + r // per_cell`` and draws from that stream through
+    :func:`_draw_normals`.  Rows are integrated in chunks of at most
+    ``_CHUNK_ENTRIES`` noise entries.  Each run of ``m`` steps in the
+    segment plan (:func:`_plan`) maps its entry state ``z`` to
     ``z T^m + sum_j xi_j S T^(m-1-j)`` (see :func:`_segment_operators`),
     reduced row by row, so every row's endpoint is the same in any chunk.
     ``held`` (a :class:`_HeldNoise`) lets consecutive calls on the same
@@ -331,15 +306,12 @@ def _integrate_paths(
         raise ConfigurationError(
             f"starts: dimension {d} does not match the state dimension {system.dim}"
         )
-    mats_t, seg_of_step, noisy, scale_t = _prepare(
-        system, profile, noise, eps, d, h, n_steps
-    )
+    noisy, scale_t, runs = _plan(system, profile, noise, eps, d, h, n_steps)
     if held is None:
         held = _HeldNoise()
-    runs = _segment_runs(seg_of_step)
     with np.errstate(over="ignore", invalid="ignore"):
         operators = [
-            _segment_operators(mats_t[seg], scale_t, h, m, noisy) for seg, _, m in runs
+            _segment_operators(mat_t, scale_t, h, m, noisy) for mat_t, _, m in runs
         ]
 
     endpoints = np.empty((n, d))
@@ -356,7 +328,7 @@ def _integrate_paths(
         if not np.isfinite(Z).all():
             # After a divergence only an earlier step can change the report.
             steps = n_steps if failure is None else failure[0] - 1
-            Z, step, row = _walk(starts[lo:hi], xi, mats_t, seg_of_step, scale_t, h, steps)
+            Z, step, row = _walk(starts[lo:hi], xi, runs, scale_t, h, steps)
             if step is not None:
                 failure = (step, first_cell + (lo + row) // per_cell)
         endpoints[lo:hi] = Z
@@ -375,10 +347,12 @@ def simulate_sde(system, profile, noise, eps, x0, path_cfg, path=0, cell=0):
 
     With ``eps=0`` (or a zero diffusion matrix) the scheme reduces to the
     deterministic explicit Euler method.  Repeating a call with the same
-    ``(seed, cell, path)`` triple reproduces the trajectory bit for bit.
-    Row ``k`` is the closed-form state after ``k`` steps, read from
-    prefixes of the same per-segment arrays as :func:`ensemble_endpoints`,
-    so the last row equals that path's ensemble endpoint bit for bit.
+    ``(seed, cell, path)`` triple reproduces the trajectory bit for bit;
+    its normals come from the same reader as every ensemble's, and ``path``
+    and ``cell`` must lie in ``0 .. 2**32 - 1``.  Row ``k`` is the
+    closed-form state after ``k`` steps, read from prefixes of the same
+    per-run arrays of the segment plan as :func:`ensemble_endpoints`, so
+    the last row equals that path's ensemble endpoint bit for bit.
     """
     if path < 0 or cell < 0:
         raise ConfigurationError("path/cell: stream indices must be >= 0")
@@ -389,27 +363,22 @@ def simulate_sde(system, profile, noise, eps, x0, path_cfg, path=0, cell=0):
             f"x0: dimension {d} does not match the state dimension {system.dim}"
         )
     h, n_steps = path_cfg.h, path_cfg.n_steps
-    mats_t, seg_of_step, noisy, scale_t = _prepare(
-        system, profile, noise, eps, d, h, n_steps
-    )
+    noisy, scale_t, runs = _plan(system, profile, noise, eps, d, h, n_steps)
     xi = None
     if noisy:
-        gen = np.random.Generator(np.random.Philox(0))
-        xi = _reset_stream(gen, path_cfg.seed, cell, path).standard_normal((1, n_steps, d))
+        xi = _draw_normals(path_cfg.seed, cell, path + 1, path, path + 1, n_steps, d)
     Z = x0[None, :]
     trajectory = np.empty((n_steps + 1, d))
     trajectory[0] = x0
     with np.errstate(over="ignore", invalid="ignore"):
-        for seg, k0, m in _segment_runs(seg_of_step):
-            powers, kernel = _segment_operators(mats_t[seg], scale_t, h, m, noisy)
+        for mat_t, k0, m in runs:
+            powers, kernel = _segment_operators(mat_t, scale_t, h, m, noisy)
             seg_xi = xi[:, k0:k0 + m] if noisy else None
             for j in range(1, m + 1):
                 trajectory[k0 + j] = _advance(Z, seg_xi, powers, kernel, j)[0]
             Z = trajectory[k0 + m][None, :]
     if not np.isfinite(trajectory).all():
-        _, step, _ = _walk(
-            x0[None, :], xi, mats_t, seg_of_step, scale_t, h, n_steps, trajectory
-        )
+        _, step, _ = _walk(x0[None, :], xi, runs, scale_t, h, n_steps, trajectory)
         if step is not None:
             raise DivergenceError(
                 f"path integration diverged at step {step} in cell {cell}",
@@ -437,16 +406,6 @@ def ensemble_endpoints(
     )
 
 
-def _stratified_starts(partition, n_paths):
-    """Deterministic in-cell start offsets, shape (n_paths, d)."""
-    d = partition.dim
-    q = int(np.ceil(n_paths ** (1.0 / d)))
-    while q ** d < n_paths:
-        q += 1
-    offs = partition.sample_offsets(q)
-    return offs[:n_paths]
-
-
 def build_stochastic_ulam(
     partition,
     system,
@@ -462,9 +421,10 @@ def build_stochastic_ulam(
 ):
     """Monte Carlo push-forward matrix of the perturbed flow over ``[0, t]``.
 
-    Each cell launches ``path_cfg.n_paths`` paths (at least 100) from a
-    stratified in-cell start pattern; row entries are endpoint destination
-    counts over paths.  The number of steps is ``round(t / h)`` with the
+    Each cell launches ``path_cfg.n_paths`` paths (at least 100) from the
+    first ``n_paths`` of its sample points on the smallest ``q**d >=
+    n_paths`` pattern; row entries are endpoint destination counts over
+    paths.  The number of steps is ``round(t / h)`` with the
     step size adjusted to land on ``t`` exactly.  The paths of all cells
     are integrated as one batch with rows in ``(cell, path)`` order, each
     row drawing from the stream keyed ``(seed, cell, path)``.  ``threads``
@@ -487,9 +447,10 @@ def build_stochastic_ulam(
     h_eff = t / n_steps
 
     n_paths = path_cfg.n_paths
-    offsets = _stratified_starts(partition, n_paths)
-    corners = partition.lower + partition.multi_indices() * partition.widths
-    starts = (corners[:, None, :] + offsets[None, :, :]).reshape(-1, partition.dim)
+    q = int(np.ceil(n_paths ** (1.0 / partition.dim)))
+    while q ** partition.dim < n_paths:
+        q += 1
+    starts = partition.sample_points(q)[:, :n_paths].reshape(-1, partition.dim)
     ends = _integrate_paths(
         system, profile, noise, eps, starts, h_eff, n_steps, path_cfg.seed,
         n_paths, held=_held_noise,
@@ -628,9 +589,9 @@ def resilience_report(
         for i, theta in enumerate(thetas)
     }
 
-    deviation_profiles = []
+    profiles = [("equilibrium", profile)]
     if with_deviations:
-        deviation_profiles = [
+        profiles += [
             (f"deviation:j={j},k={k}", dev_profile)
             for j, k, dev_profile in _unilateral_deviations(profile, space)
         ]
@@ -640,44 +601,27 @@ def resilience_report(
     held = _HeldNoise()
     entries = []
     deviation_entries = []
-    theta_eps = []
     for eps in noise.epsilon_list:
-        sup = -np.inf
-        any_finite = False
         for t in cfg.time_grid:
             if eps == 0.0:
                 # Zero noise is the deterministic operator by definition.
-                for i in range(len(thetas)):
-                    entries.append(
-                        ResilienceEntry(eps, t, i, 0.0, 0.0, 0.0)
-                    )
-                sup = max(sup, 0.0)
-                any_finite = True
+                entries += [ResilienceEntry(eps, t, i, 0.0, 0.0, 0.0) for i in range(len(thetas))]
                 continue
-            P_eps = build_stochastic_ulam(
-                cfg.theta_ref.partition, system, profile, noise, eps, t, path_cfg,
-                leak_tol=cfg.leak_tol, _held_noise=held,
-            )
-            for i, theta in enumerate(thetas):
-                pushed = apply_fp(P_eps, theta, renormalize=True)
-                l1, rel, violation = _compare(pushed, det_pushes[(t, i)], kl_floor)
-                entries.append(ResilienceEntry(eps, t, i, l1, rel, violation))
-                if np.isfinite(rel):
-                    sup = max(sup, rel)
-                    any_finite = True
-            for label, dev_profile in deviation_profiles:
-                P_dev = build_stochastic_ulam(
-                    cfg.theta_ref.partition, system, dev_profile, noise, eps, t,
-                    path_cfg, leak_tol=cfg.leak_tol, _held_noise=held,
+            for label, swept in profiles:
+                P_eps = build_stochastic_ulam(
+                    cfg.theta_ref.partition, system, swept, noise, eps, t, path_cfg,
+                    leak_tol=cfg.leak_tol, _held_noise=held,
                 )
+                rows = entries if swept is profile else deviation_entries
                 for i, theta in enumerate(thetas):
-                    pushed = apply_fp(P_dev, theta, renormalize=True)
+                    pushed = apply_fp(P_eps, theta, renormalize=True)
                     l1, rel, violation = _compare(pushed, det_pushes[(t, i)], kl_floor)
-                    deviation_entries.append(
-                        ResilienceEntry(eps, t, i, l1, rel, violation, profile_id=label)
-                    )
-        theta_eps.append((eps, float(sup) if any_finite else float("nan")))
+                    rows.append(ResilienceEntry(eps, t, i, l1, rel, violation, profile_id=label))
 
+    theta_eps = []
+    for eps in noise.epsilon_list:
+        finite = [e.rel_entropy for e in entries if e.epsilon == eps and np.isfinite(e.rel_entropy)]
+        theta_eps.append((eps, float(max(finite)) if finite else float("nan")))
     values = [v for _, v in theta_eps]
     monotone = all(np.isfinite(v) for v in values) and all(
         values[k] >= values[k + 1] for k in range(len(values) - 1)

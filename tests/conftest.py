@@ -10,6 +10,7 @@ from entrogame import (
     Partition,
     StrategySpace,
 )
+from entrogame.system import closed_loop_matrix
 
 
 def scalar_system(a=0.0, b=1.0):
@@ -67,6 +68,36 @@ def sum_zero_config(cells=64, time_grid=(0.5, 1.0), **kwargs):
         samples_per_cell=8,
         **kwargs,
     )
+
+
+def step_drifts(system, profile, h, n_steps):
+    """Transposed closed-loop drift of each Euler-Maruyama step, found one
+    step at a time: step ``k`` starts at ``k * h`` and takes the segment of
+    the last breakpoint at or before it; a new segment's drift is evaluated
+    at its first step's start time."""
+    breaks = system.breakpoints()
+    drifts = []
+    last_seg = -1
+    for k in range(n_steps):
+        t = k * h
+        seg = 0
+        for i, b in enumerate(breaks):
+            if b <= t:
+                seg = i
+        if seg != last_seg:
+            mat_t = np.ascontiguousarray(closed_loop_matrix(system, profile, t).T)
+            last_seg = seg
+        drifts.append(mat_t)
+    return drifts
+
+
+def start_offsets(partition, n_paths):
+    """The stochastic build's in-cell start offsets, shape (n_paths, d):
+    the first ``n_paths`` of the smallest ``q**d >= n_paths`` pattern."""
+    q = int(np.ceil(n_paths ** (1.0 / partition.dim)))
+    while q ** partition.dim < n_paths:
+        q += 1
+    return partition.sample_offsets(q)[:n_paths]
 
 
 @pytest.fixture

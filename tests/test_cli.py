@@ -5,6 +5,8 @@ import json
 import numpy as np
 import pytest
 
+import entrogame.artifacts as artifacts_mod
+import entrogame.cli as cli_mod
 from entrogame import DensityVector
 from entrogame.artifacts import read_density, write_density
 from entrogame.cli import main
@@ -125,6 +127,30 @@ def test_entropy_trace_artifacts(tmp_path):
             assert float(rel) == 0.0
         else:
             assert float(rel) > 1e-3
+
+
+# The contracting loop pins its stationary density to fewer cells than the
+# trace densities cover, so the trace skips them with a warning.
+@pytest.mark.filterwarnings("ignore:density .* outside the stationary support")
+@pytest.mark.parametrize("command", ["entropy-trace", "resilience"])
+def test_reference_density_is_read_once(tmp_path, monkeypatch, command):
+    part = line_partition(16)
+    write_density(DensityVector.uniform(part), tmp_path / "ref.csv")
+    write_density(tilted_density(part, 0.3), tmp_path / "tilt.csv")
+    raw = resilience_scenario()
+    raw["game"]["reference"] = str(tmp_path / "ref.csv")
+    raw["game"]["trace_densities"] = [str(tmp_path / "tilt.csv")]
+    reads = []
+
+    def counted(path):
+        reads.append(path.name)
+        return read_density(path)
+
+    monkeypatch.setattr(artifacts_mod, "read_density", counted)
+    monkeypatch.setattr(cli_mod, "read_density", counted)
+    rc, _, _ = run(tmp_path, command, raw, extra=("--kl-floor",))
+    assert rc == 0
+    assert sorted(reads) == ["ref.csv", "tilt.csv"]
 
 
 def test_trace_density_partition_mismatch_is_an_error(tmp_path, capsys):

@@ -1,8 +1,9 @@
 """The closed-form Euler-Maruyama engine (path scheme 2) against the per-step
-loop it replaced: endpoint agreement, destinations that change cell,
-trajectories read from prefixes of the segment arrays, chunk invariance at
-state dimensions 4 and 5, the walk kept when the closed-form powers
-overflow, vectorised stream words and the ``path_scheme`` key."""
+loop it replaced: the segment plan's drift per step, endpoint agreement,
+destinations that change cell, trajectories read from prefixes of the
+segment arrays, chunk invariance at state dimensions 4 and 5, the walk kept
+when the closed-form powers overflow, vectorised stream words and the
+``path_scheme`` key."""
 
 import json
 
@@ -11,6 +12,7 @@ import pytest
 
 import entrogame.perturb as perturb_mod
 from entrogame import (
+    ConfigurationError,
     FeedbackGain,
     FeedbackProfile,
     MultiChannelSystem,
@@ -21,6 +23,7 @@ from entrogame import (
     ensemble_endpoints,
     simulate_sde,
 )
+from conftest import start_offsets, step_drifts
 from test_cli import resilience_scenario, run
 
 
@@ -28,14 +31,14 @@ def step_loop(system, profile, noise, eps, starts, h, n_steps, seed, per_cell):
     """Endpoints of path scheme 1: every row stepped through the recursion
     ``Z <- Z + (Z M^T) h + xi S`` one step at a time, in one batch."""
     n, d = starts.shape
-    mats_t, seg_of_step, noisy, scale_t = perturb_mod._prepare(
-        system, profile, noise, eps, d, h, n_steps
-    )
+    drifts = step_drifts(system, profile, h, n_steps)
+    noisy = eps > 0 and np.any(noise.sigma != 0.0)
+    scale_t = np.ascontiguousarray((np.sqrt(eps * h) * noise.sigma).T)
     if noisy:
         xi = perturb_mod._draw_normals(seed, 0, per_cell, 0, n, n_steps, d)
     Z = starts.copy()
     for k in range(n_steps):
-        Z = Z + (Z @ mats_t[seg_of_step[k]]) * h
+        Z = Z + (Z @ drifts[k]) * h
         if noisy:
             Z = Z + xi[:, k, :] @ scale_t
     return Z
@@ -70,6 +73,54 @@ def random_run(rng, d=None):
     return system, profile, noise, eps, h, n_steps
 
 
+def random_breakpoints(rng, h, n_steps):
+    """Up to six breakpoints after 0: on an exact multiple of ``h``, one ulp
+    to either side of one, anywhere in the horizon, or several inside one
+    step."""
+    points = set()
+    for _ in range(int(rng.integers(0, 7))):
+        k = int(rng.integers(1, n_steps + 2))
+        kind = int(rng.integers(4))
+        if kind == 0:
+            points.add(k * h)
+        elif kind == 1:
+            points.add(float(np.nextafter(k * h, rng.choice([-np.inf, np.inf]))))
+        elif kind == 2:
+            points.add(float(rng.uniform(0.0, n_steps * h)))
+        else:
+            points.update((k - 1) * h + rng.uniform(0.0, h, int(rng.integers(2, 5))))
+    return sorted(float(b) for b in points if b > 0.0)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_plan_matches_the_per_step_drift_loop(seed):
+    rng = np.random.default_rng(900 + seed)
+    for _ in range(250):
+        d = int(rng.integers(1, 3))
+        h = float(rng.choice([0.1, 0.01, 0.05, rng.uniform(0.001, 0.2)]))
+        n_steps = int(rng.integers(1, 80))
+
+        def segment(start):
+            B = (rng.normal(0.0, 1.0, (d, 1)),)
+            return ScheduleSegment(start, rng.normal(0.0, 1.0, (d, d)), B)
+
+        breaks = random_breakpoints(rng, h, n_steps)
+        first = segment(0.0)
+        schedule = (first, *map(segment, breaks)) if breaks or rng.integers(2) else ()
+        system = MultiChannelSystem(A=first.A, B=first.B, schedule=schedule)
+        profile = FeedbackProfile((FeedbackGain(1, rng.normal(0.0, 1.0, (1, d))),))
+        noise = NoiseSpec(sigma=np.eye(d), epsilon_list=(0.1,))
+
+        _, _, runs = perturb_mod._plan(system, profile, noise, 0.1, d, h, n_steps)
+        expected = step_drifts(system, profile, h, n_steps)
+        assert [k0 for _, k0, _ in runs] == [
+            k for k in range(n_steps) if k == 0 or expected[k] is not expected[k - 1]
+        ]
+        planned = [mat_t for mat_t, _, m in runs for _ in range(m)]
+        assert len(planned) == n_steps
+        assert all(np.array_equal(a, b) for a, b in zip(planned, expected))
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_closed_form_endpoints_match_the_step_loop(seed):
     rng = np.random.default_rng(seed)
@@ -94,7 +145,7 @@ def test_stochastic_build_destinations_that_change_cell(capsys):
         d = int(rng.integers(1, 3))
         system, profile, noise = random_system(rng, d, int(rng.integers(0, 3)))
         part = Partition(np.full(d, -1.5), np.full(d, 1.5), rng.integers(4, 17, size=d))
-        offsets = perturb_mod._stratified_starts(part, 100)
+        offsets = start_offsets(part, 100)
         corners = part.lower + part.multi_indices() * part.widths
         starts = (corners[:, None, :] + offsets[None, :, :]).reshape(-1, d)
         eps = float(rng.choice([0.0, rng.uniform(0.001, 0.3)]))
@@ -183,11 +234,18 @@ def test_walk_is_kept_when_the_closed_form_powers_overflow(eps):
     [(0, 0, 100, 0, 7), (5, 3, 4, 2, 11), (2**63 + 1, 2**32 - 2, 3, 1, 8), (9, 0, 2**32 - 1, 2**32 - 3, 2**32 + 2)],
 )
 def test_vectorised_stream_words_read_the_same_streams(seed, first_cell, per_cell, lo, hi):
+    last_cell = first_cell + (hi - 1) // per_cell
+    if last_cell >= 2**32:
+        # That cell's key word would wrap onto another cell's stream.
+        with pytest.raises(ConfigurationError, match=f"cell {last_cell}: stream indices"):
+            perturb_mod._draw_normals(seed, first_cell, per_cell, lo, hi, 6, 2)
+        hi = (2**32 - first_cell) * per_cell
     xi = perturb_mod._draw_normals(seed, first_cell, per_cell, lo, hi, 6, 2)
-    gen = np.random.Generator(np.random.Philox(0))
+    assert xi.shape == (hi - lo, 6, 2)
     for r in range(lo, hi):
         cell, path = first_cell + r // per_cell, r % per_cell
-        expected = perturb_mod._reset_stream(gen, seed, cell, path).standard_normal((6, 2))
+        key = np.array([seed, cell << 32 | path], dtype=np.uint64)
+        expected = np.random.Generator(np.random.Philox(key=key)).standard_normal((6, 2))
         assert np.array_equal(xi[r - lo], expected)
 
 

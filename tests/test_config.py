@@ -95,9 +95,9 @@ def test_accessors_build_runtime_objects():
     paths = cfg.path_config()
     assert paths.n_steps == 100  # t=1.0 at h=0.01
     assert paths.seed == 42
-    override = cfg.path_config(seed_override=7, t=0.5)
+    override = cfg.path_config(seed_override=7)
     assert override.seed == 7
-    assert override.n_steps == 50
+    assert override.n_steps == 100
 
 
 def test_strategy_space_requires_candidates():

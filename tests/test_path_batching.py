@@ -23,7 +23,14 @@ from entrogame import (
     resilience_report,
 )
 from entrogame.transfer import ulam_from_destinations
-from conftest import line_partition, scalar_profile, scalar_system, tilted_density
+from conftest import (
+    line_partition,
+    scalar_profile,
+    scalar_system,
+    start_offsets,
+    step_drifts,
+    tilted_density,
+)
 
 
 def per_cell_paths(system, profile, noise, eps, starts, h, n_steps, seed, cell):
@@ -31,9 +38,9 @@ def per_cell_paths(system, profile, noise, eps, starts, h, n_steps, seed, cell):
     chunks of at most ``_CHUNK_ENTRIES`` noise entries within the cell and a
     fresh Philox generator per path."""
     n, d = starts.shape
-    mats_t, seg_of_step, noisy, scale_t = perturb_mod._prepare(
-        system, profile, noise, eps, d, h, n_steps
-    )
+    drifts = step_drifts(system, profile, h, n_steps)
+    noisy = eps > 0 and np.any(noise.sigma != 0.0)
+    scale_t = np.ascontiguousarray((np.sqrt(eps * h) * noise.sigma).T)
     ends = np.empty((n, d))
     chunk = max(1, min(n, perturb_mod._CHUNK_ENTRIES // max(1, n_steps * d)))
     for lo in range(0, n, chunk):
@@ -46,7 +53,7 @@ def per_cell_paths(system, profile, noise, eps, starts, h, n_steps, seed, cell):
                 gen = np.random.Generator(np.random.Philox(key=key))
                 xi[p - lo] = gen.standard_normal((n_steps, d))
         for k in range(n_steps):
-            Z = Z + (Z @ mats_t[seg_of_step[k]]) * h
+            Z = Z + (Z @ drifts[k]) * h
             if noisy:
                 Z = Z + xi[:, k, :] @ scale_t
             if not np.all(np.isfinite(Z)):
@@ -60,7 +67,7 @@ def per_cell_matrix(partition, system, profile, noise, eps, t, path_cfg):
     n_steps = max(1, int(round(t / path_cfg.h)))
     h = t / n_steps
     n_paths = path_cfg.n_paths
-    offsets = perturb_mod._stratified_starts(partition, n_paths)
+    offsets = start_offsets(partition, n_paths)
     corners = partition.lower + partition.multi_indices() * partition.widths
     dest = np.empty((partition.cell_count, n_paths), dtype=np.int64)
     for i, corner in enumerate(corners):
@@ -232,7 +239,7 @@ def test_stochastic_build_divergence_names_the_earliest_step_and_its_cell(
     part = line_partition(8, -1.0, 3.0)
     noise = NoiseSpec(sigma=np.array([[1.0]]), epsilon_list=(0.1,))
     path_cfg = SdePathConfig(h=0.1, n_steps=1, n_paths=100, seed=1)
-    offsets = perturb_mod._stratified_starts(part, 100)
+    offsets = start_offsets(part, 100)
     corners = part.lower + part.multi_indices() * part.widths
     cell_steps = []
     for i, corner in enumerate(corners):

@@ -307,8 +307,23 @@ def test_stream_reset_matches_a_fresh_philox(seed, cell, path):
         dtype=np.uint64,
     )
     fresh = np.random.Generator(np.random.Philox(key=key)).standard_normal((37, 3))
-    gen = np.random.Generator(np.random.Philox(0))
-    gen.random(3, dtype=np.float32)  # leaves a half-used buffer behind
-    reset = np.empty((37, 3))
-    perturb_mod._reset_stream(gen, seed, cell, path).standard_normal(out=reset)
-    assert np.array_equal(reset, fresh)
+    # Row ``path`` of a block that starts at cell ``cell`` with ``path + 1``
+    # paths per cell reads the stream of ``(cell, path)``.
+    (row,) = perturb_mod._draw_normals(seed, cell, path + 1, path, path + 1, 37, 3)
+    assert np.array_equal(row, fresh)
+
+
+def test_stream_indices_past_32_bits_are_refused():
+    # A stream's key word is ``cell << 32 | path``: path 2**32 of cell 0 and
+    # cell 2**32 would read the streams of (1, 0) and of cell 0.
+    system, profile, noise = scalar_system(), scalar_profile(-1.0), unit_noise(0.1)
+    cfg = SdePathConfig(h=0.01, n_steps=20, n_paths=3, seed=5)
+    x0 = np.array([0.3])
+    with pytest.raises(ConfigurationError, match="path 4294967296: stream indices"):
+        simulate_sde(system, profile, noise, 0.1, x0, cfg, path=2**32, cell=0)
+    with pytest.raises(ConfigurationError, match="cell 4294967296: stream indices"):
+        ensemble_endpoints(system, profile, noise, 0.1, x0, cfg, cell=2**32)
+    top = ensemble_endpoints(system, profile, noise, 0.1, x0, cfg, cell=2**32 - 1)
+    assert not np.array_equal(top, ensemble_endpoints(system, profile, noise, 0.1, x0, cfg))
+    traj = simulate_sde(system, profile, noise, 0.1, x0, cfg, path=2, cell=2**32 - 1)
+    assert np.array_equal(traj[-1], top[2])

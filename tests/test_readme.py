@@ -1,6 +1,7 @@
 """The scenarios README.md documents actually run."""
 
 import re
+import shlex
 from pathlib import Path
 
 import entrogame.cli as cli_mod
@@ -48,3 +49,25 @@ def test_perturb_scenario_draws_the_normals_once(tmp_path, monkeypatch):
     )
     assert run("per_epsilon") == shared
     assert len(draws) == 2
+
+
+def test_command_lines_run_on_the_scenario(tmp_path, monkeypatch, capsys):
+    lines = [
+        line.split("#")[0]
+        for block in fenced_blocks("sh")
+        for line in block.splitlines()
+        if line.startswith("entrogame ")
+    ]
+    assert [shlex.split(line)[1] for line in lines] == [
+        "ulam", "stationary", "entropy-trace", "equilibrium", "perturb", "resilience",
+    ]
+    (scenario,) = fenced_blocks("json")
+    (tmp_path / "scenario.json").write_text(scenario, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    codes = []
+    for line in lines:
+        codes.append(cli_mod.main(shlex.split(line)[1:]))
+    assert codes == [0, 0, 0, 0, 0, 3]
+    # Known defect: noise carries the edge cells' paths past the box (see
+    # ROADMAP, noise on a bounded box).  Expect 0 once that lands.
+    assert "cell 63 lost" in capsys.readouterr().err
