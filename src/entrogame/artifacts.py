@@ -2,15 +2,24 @@
 
 Reals are written with 17 significant digits, which round-trips float64
 exactly.  JSON is emitted with sorted keys and fixed separators and no
-timestamps, so identical inputs produce byte-identical files.  Every CSV
-artifact is paired with a JSON sidecar carrying the provenance (config
-hash, tool version) and payload metadata.
+timestamps, so identical inputs produce byte-identical files: the layout is
+byte-equal to ``json.dumps(x, sort_keys=True, indent=2)``, written without
+that call's pure-Python encoder.  A CSV cell whose text contains a comma,
+a double quote, CR or LF is quoted as RFC 4180 does (inner quotes doubled).
+Every CSV artifact is paired with a JSON sidecar carrying the provenance
+(config hash, tool version) and payload metadata.
+
+The numeric writers format each distinct index or value once and join
+table entries; the density reader parses its two columns in bulk and
+falls back to a row-by-row pass only to name the first bad row.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
+from operator import methodcaller
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +38,8 @@ __all__ = [
 ]
 
 DENSITY_MASS_TOL = 1e-6
+_CSV_SPECIAL = re.compile(r'[,"\r\n]')
+_JSON_SCALARS = {int, float, bool, str, type(None)}
 
 
 def fmt_float(x):
@@ -43,16 +54,14 @@ def _cell(value):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         return fmt_float(value)
-    return str(value)
+    text = str(value)
+    if _CSV_SPECIAL.search(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _write_lines(path, header, body):
-    """Write the CSV ``header`` line, then ``body`` (newline-terminated rows).
-
-    The numeric writers below format whole rows with one ``%d``/``%.17g``
-    template over ``tolist()`` output: for Python ints and floats that is
-    the text :func:`_cell` gives, ``inf``/``nan`` included.
-    """
+    """Write the CSV ``header`` line, then ``body`` (newline-terminated rows)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(",".join(header) + "\n" + body, encoding="utf-8", newline="\n")
@@ -86,10 +95,35 @@ def _jsonable(obj):
     return obj
 
 
+def _json_text(obj, indent=""):
+    """``json.dumps(obj, sort_keys=True, indent=2)`` for :func:`_jsonable` output.
+
+    The indent-2 layout is emitted here; flat lists of scalars and every
+    scalar go through the C encoder, with the line break and indent as the
+    item separator.
+    """
+    if type(obj) is dict:
+        if not obj:
+            return "{}"
+        inner = indent + "  "
+        items = [f"{json.dumps(k)}: {_json_text(obj[k], inner)}" for k in sorted(obj)]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    if type(obj) is list:
+        if not obj:
+            return "[]"
+        inner = indent + "  "
+        if set(map(type, obj)) <= _JSON_SCALARS:
+            body = json.dumps(obj, separators=(",\n" + inner, ": "))[1:-1]
+        else:
+            body = (",\n" + inner).join([_json_text(v, inner) for v in obj])
+        return "[\n" + inner + body + "\n" + indent + "]"
+    return json.dumps(obj)
+
+
 def write_json(path, payload):
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    text = json.dumps(_jsonable(payload), sort_keys=True, indent=2)
+    text = _json_text(_jsonable(payload))
     path.write_text(text + "\n", encoding="utf-8", newline="\n")
     return path
 
@@ -107,15 +141,95 @@ def _partition_payload(partition):
     }
 
 
+def _numeric_rows(int_columns, reals):
+    """Body of the rows ``i,j,...,x``: integer columns, then one real column.
+
+    Each distinct integer and each distinct real, keyed by its bit pattern
+    so that ``-0.0`` and ``0.0`` keep their own text, is formatted once;
+    the rows are one join over table entries.  ``str`` of a Python int and
+    ``{:.17g}`` of a Python float are the text :func:`_cell` gives, ``inf``
+    and ``nan`` included.
+    """
+    n = len(reals)
+    pieces = np.empty((len(int_columns) + 1, n), dtype=object)
+    keys, inverse = np.unique(np.concatenate(int_columns, dtype=np.int64), return_inverse=True)
+    table = np.array([f"{v}," for v in keys.tolist()], dtype=object)
+    pieces[:-1] = table[inverse].reshape(len(int_columns), n)
+    bits = np.ascontiguousarray(reals, dtype=np.float64).view(np.uint64)
+    keys, inverse = np.unique(bits, return_inverse=True)
+    table = np.array([f"{v:.17g}\n" for v in keys.view(np.float64).tolist()], dtype=object)
+    pieces[-1] = table[inverse]
+    return "".join(pieces.T.ravel().tolist())
+
+
 def write_density(theta, csv_path, provenance=None):
     """Write ``cell_index,value`` rows plus a partition sidecar."""
-    rows = enumerate(theta.values.tolist())
-    _write_lines(csv_path, ["cell_index", "value"], "".join(["%d,%.17g\n" % r for r in rows]))
+    values = theta.values
+    body = _numeric_rows([np.arange(len(values))], values)
+    _write_lines(csv_path, ["cell_index", "value"], body)
     payload = {"partition": _partition_payload(theta.partition), "kind": "density"}
     if provenance:
         payload["provenance"] = provenance
     write_json(sidecar_path(csv_path), payload)
     return Path(csv_path)
+
+
+def _density_columns(body, cell_count):
+    """Parse density rows in bulk; ``None`` if any row fails a check.
+
+    Makes the ``int``/``float`` calls of :func:`_density_rows` and checks
+    their results as arrays, so a file it accepts is one the row loop
+    accepts with the same values.  The fields come from one ``split`` of
+    the joined rows: a list per row would leave thousands of live
+    containers for the cyclic garbage collector to walk.
+    """
+    rows = list(filter(None, body))
+    if set(map(methodcaller("count", ","), rows)) != {1}:
+        return None
+    fields = ",".join(rows).split(",")
+    try:
+        idx = np.fromiter(map(int, fields[0::2]), dtype=np.int64, count=len(rows))
+        vals = np.fromiter(map(float, fields[1::2]), dtype=float, count=len(rows))
+    except (ValueError, OverflowError):
+        return None
+    if not (idx.min() >= 0 and idx.max() < cell_count):
+        return None
+    hits = np.bincount(idx, minlength=cell_count)
+    if hits.max() > 1 or not np.isfinite(vals).all() or (vals < 0).any():
+        return None
+    values = np.zeros(cell_count)
+    values[idx] = vals
+    return values, hits.astype(bool)
+
+
+def _density_rows(body, cell_count):
+    """Parse density rows one at a time, raising at the first bad row."""
+    values = np.zeros(cell_count)
+    seen = np.zeros(cell_count, dtype=bool)
+    for n, line in enumerate(body, start=2):
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise ConfigurationError(f"density: row {n}: expected 'cell_index,value'")
+        try:
+            idx = int(parts[0])
+            val = float(parts[1])
+        except ValueError as exc:
+            raise ConfigurationError(f"density: row {n}: {exc}") from exc
+        if not 0 <= idx < cell_count:
+            raise ConfigurationError(
+                f"density: row {n}: cell_index {idx} outside 0..{cell_count - 1}"
+            )
+        if seen[idx]:
+            raise ConfigurationError(f"density: row {n}: duplicate cell_index {idx}")
+        if not math.isfinite(val):
+            raise ConfigurationError(f"density: row {n}: value must be finite")
+        if val < 0:
+            raise ConfigurationError(f"density: row {n}: negative value {val!r}")
+        seen[idx] = True
+        values[idx] = val
+    return values, seen
 
 
 def read_density(csv_path):
@@ -151,31 +265,9 @@ def read_density(csv_path):
             f"density: {csv_path} must start with the header 'cell_index,value'"
         )
     cell_count = partition.cell_count
-    values = np.zeros(cell_count)
-    seen = np.zeros(cell_count, dtype=bool)
-    for n, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ConfigurationError(f"density: row {n}: expected 'cell_index,value'")
-        try:
-            idx = int(parts[0])
-            val = float(parts[1])
-        except ValueError as exc:
-            raise ConfigurationError(f"density: row {n}: {exc}") from exc
-        if not 0 <= idx < cell_count:
-            raise ConfigurationError(
-                f"density: row {n}: cell_index {idx} outside 0..{cell_count - 1}"
-            )
-        if seen[idx]:
-            raise ConfigurationError(f"density: row {n}: duplicate cell_index {idx}")
-        if not math.isfinite(val):
-            raise ConfigurationError(f"density: row {n}: value must be finite")
-        if val < 0:
-            raise ConfigurationError(f"density: row {n}: negative value {val!r}")
-        seen[idx] = True
-        values[idx] = val
+    body = lines[1:]
+    parsed = _density_columns(body, cell_count)
+    values, seen = _density_rows(body, cell_count) if parsed is None else parsed
     if not seen.all():
         missing = int(np.argmin(seen))
         raise ConfigurationError(f"density: cell_index {missing} missing from {csv_path}")
@@ -190,8 +282,8 @@ def read_density(csv_path):
 
 def write_ulam(matrix, csv_path, provenance=None):
     """Sparse triplet export ``row,col,value`` with a metadata sidecar."""
-    rows = zip(matrix.rows.tolist(), matrix.cols.tolist(), matrix.values.tolist())
-    _write_lines(csv_path, ["row", "col", "value"], "".join(["%d,%d,%.17g\n" % r for r in rows]))
+    body = _numeric_rows([matrix.rows, matrix.cols], matrix.values)
+    _write_lines(csv_path, ["row", "col", "value"], body)
     payload = {
         "kind": "ulam",
         "partition": _partition_payload(matrix.partition),

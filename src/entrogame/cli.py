@@ -9,6 +9,7 @@ carrying the config hash and tool version.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -26,7 +27,9 @@ from .transfer import build_ulam, stationary_density
 __all__ = ["main"]
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="scenario JSON file")
     common.add_argument("--out", default=None, help="artifact directory (overrides config)")

@@ -9,6 +9,12 @@ fraction of cell ``i`` samples landing in each destination cell.  Mass that
 leaves the box is tracked per row as leakage instead of being silently
 renormalised away.
 
+Sample placement and cell location run one axis at a time, on one
+contiguous column of coordinates per axis with scalar bounds.  They do the
+same IEEE operations as the broadcast ``(n, d)`` form, so points and
+indices are identical to it; location forms the flat C-order index by
+Horner's rule.
+
 A row holds only the few cells its samples reach, so the operator is kept
 in compressed sparse row form, built in one pass by counting the distinct
 ``(row, destination)`` keys of all sample images.  No ``M x M`` array is
@@ -141,13 +147,16 @@ class Partition:
     def sample_points(self, q):
         """Interior sample points for every cell, shape (M, q**d, d).
 
-        Computed once per ``q`` and returned read-only.
+        Computed once per ``q`` and returned read-only and C-contiguous.
         """
         q = int(q)
         points = self._sample_points.get(q)
         if points is None:
-            corners = self.lower + self.multi_indices() * self.widths
-            points = corners[:, None, :] + self.sample_offsets(q)[None, :, :]
+            offsets = self.sample_offsets(q)
+            index = np.unravel_index(np.arange(self.cell_count), tuple(self.cells_per_axis))
+            points = np.empty((self.cell_count, offsets.shape[0], self.dim))
+            for k, (lo, w) in enumerate(zip(self.lower, self.widths)):
+                np.add((lo + index[k] * w)[:, None], offsets[:, k], out=points[:, :, k])
             points.setflags(write=False)
             self._sample_points[q] = points
         return points
@@ -165,12 +174,26 @@ class Partition:
             raise ConfigurationError(
                 f"locate: points have dimension {pts.shape[1]}, expected {self.dim}"
             )
-        inside = np.all((pts >= self.lower) & (pts <= self.upper), axis=1)
-        idx = np.floor((pts - self.lower) / self.widths).astype(np.int64)
-        np.clip(idx, 0, self.cells_per_axis - 1, out=idx)
-        flat = np.ravel_multi_index(idx.T, tuple(self.cells_per_axis))
-        out = np.where(inside, flat, -1)
-        return out[0] if squeeze else out
+        # One contiguous row per axis, updated in place: the same IEEE
+        # operations as on the (n, d) array, without its length-d inner loops.
+        cols = pts.T.copy()
+        axes = zip(cols, self.lower, self.upper, self.widths, self.cells_per_axis.tolist())
+        for k, (x, lo, hi, w, n) in enumerate(axes):
+            ok = x >= lo
+            ok &= x <= hi
+            x -= lo
+            x /= w
+            np.floor(x, out=x)
+            idx = x.astype(np.int64)
+            np.clip(idx, 0, n - 1, out=idx)
+            if k == 0:
+                inside, flat = ok, idx
+            else:
+                inside &= ok
+                flat *= n
+                flat += idx
+        flat[~inside] = -1
+        return flat[0] if squeeze else flat
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,3 +1,7 @@
+import json
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,6 +14,8 @@ from entrogame import (
     Partition,
     StrategySpace,
 )
+from entrogame.artifacts import DENSITY_MASS_TOL
+from entrogame.errors import ConfigurationError
 from entrogame.system import closed_loop_matrix
 
 
@@ -98,6 +104,80 @@ def start_offsets(partition, n_paths):
     while q ** partition.dim < n_paths:
         q += 1
     return partition.sample_offsets(q)[:n_paths]
+
+
+def reference_sample_points(partition, q):
+    """``Partition.sample_points`` as first written: corners plus offsets,
+    broadcast over the ``(M, q**d, d)`` array."""
+    corners = partition.lower + partition.multi_indices() * partition.widths
+    return corners[:, None, :] + partition.sample_offsets(q)[None, :, :]
+
+
+def reference_locate(partition, points):
+    """``Partition.locate`` as first written: whole-array tests and floor,
+    then ``ravel_multi_index`` of the clipped multi-indices."""
+    pts = np.asarray(points, dtype=float)
+    squeeze = pts.ndim == 1
+    pts = np.atleast_2d(pts)
+    inside = np.all((pts >= partition.lower) & (pts <= partition.upper), axis=1)
+    idx = np.floor((pts - partition.lower) / partition.widths).astype(np.int64)
+    np.clip(idx, 0, partition.cells_per_axis - 1, out=idx)
+    flat = np.ravel_multi_index(idx.T, tuple(partition.cells_per_axis))
+    out = np.where(inside, flat, -1)
+    return out[0] if squeeze else out
+
+
+def reference_read_density(csv_path):
+    """``read_density`` as first written, validating row by row."""
+    csv_path = Path(csv_path)
+    meta = json.loads(csv_path.with_suffix(".json").read_text(encoding="utf-8"))
+    part = meta["partition"]
+    partition = Partition(
+        np.asarray(part["lower"], dtype=float),
+        np.asarray(part["upper"], dtype=float),
+        np.asarray(part["cells_per_axis"], dtype=np.int64),
+    )
+    lines = csv_path.read_text(encoding="utf-8").splitlines()
+    if not lines or lines[0] != "cell_index,value":
+        raise ConfigurationError(
+            f"density: {csv_path} must start with the header 'cell_index,value'"
+        )
+    cell_count = partition.cell_count
+    values = np.zeros(cell_count)
+    seen = np.zeros(cell_count, dtype=bool)
+    for n, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise ConfigurationError(f"density: row {n}: expected 'cell_index,value'")
+        try:
+            idx = int(parts[0])
+            val = float(parts[1])
+        except ValueError as exc:
+            raise ConfigurationError(f"density: row {n}: {exc}") from exc
+        if not 0 <= idx < cell_count:
+            raise ConfigurationError(
+                f"density: row {n}: cell_index {idx} outside 0..{cell_count - 1}"
+            )
+        if seen[idx]:
+            raise ConfigurationError(f"density: row {n}: duplicate cell_index {idx}")
+        if not math.isfinite(val):
+            raise ConfigurationError(f"density: row {n}: value must be finite")
+        if val < 0:
+            raise ConfigurationError(f"density: row {n}: negative value {val!r}")
+        seen[idx] = True
+        values[idx] = val
+    if not seen.all():
+        missing = int(np.argmin(seen))
+        raise ConfigurationError(f"density: cell_index {missing} missing from {csv_path}")
+    mass = float(values.sum() * partition.cell_volume)
+    if abs(mass - 1.0) > DENSITY_MASS_TOL:
+        raise ConfigurationError(
+            f"density: mass {mass!r} deviates from 1 by more than {DENSITY_MASS_TOL}; "
+            f"refusing to renormalise"
+        )
+    return DensityVector(partition, values)
 
 
 @pytest.fixture

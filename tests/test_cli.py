@@ -1,4 +1,5 @@
 import copy
+import csv
 import hashlib
 import json
 
@@ -71,6 +72,28 @@ def test_missing_subcommand_or_config_is_a_usage_error():
     with pytest.raises(SystemExit) as exit_info:
         main(["ulam"])
     assert exit_info.value.code == 2
+
+
+def test_one_parser_serves_successive_calls_independently(tmp_path, capsys):
+    assert cli_mod._build_parser() is cli_mod._build_parser()
+    rc, out, _ = run(
+        tmp_path, "resilience", resilience_scenario(),
+        extra=("--with-deviations", "--kl-floor", "1e-9"), outdir="flags",
+    )
+    assert rc == 0
+    assert (out / "resilience_deviations.csv").exists()
+    assert json.loads((out / "resilience.json").read_text())["kl_floor"] == 1e-9
+    rc, out, _ = run(tmp_path, "resilience", resilience_scenario(), outdir="plain")
+    assert rc == 0
+    assert not (out / "resilience_deviations.csv").exists()
+    assert json.loads((out / "resilience.json").read_text())["kl_floor"] is None
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--version"])
+    assert exit_info.value.code == 0
+    with pytest.raises(SystemExit) as exit_info:
+        main(["no-such-command", "--config", "x.json"])
+    assert exit_info.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_ulam_writes_matrix_and_clean_provenance(tmp_path):
@@ -283,7 +306,21 @@ def test_resilience_deviation_sweep_writes_second_csv(tmp_path):
     lines = (out / "resilience_deviations.csv").read_text().splitlines()
     assert lines[0].startswith("profile_id,")
     assert len(lines) == 1 + 2  # one deviation, one nonzero eps, two times
-    assert all(line.startswith("deviation:j=1,k=1,") for line in lines[1:])
+    assert all(line.startswith('"deviation:j=1,k=1",') for line in lines[1:])
+
+
+def test_resilience_deviation_rows_read_back_with_csv_reader(tmp_path):
+    rc, out, _ = run(
+        tmp_path, "resilience", resilience_scenario(),
+        extra=("--kl-floor", "--with-deviations"),
+    )
+    assert rc == 0
+    with open(out / "resilience_deviations.csv", newline="", encoding="utf-8") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert len(header) == 7 and header[1] == "epsilon"
+    assert rows and all(len(row) == 7 for row in rows)
+    assert all(row[0] == "deviation:j=1,k=1" for row in rows)
+    assert all(float(row[1]) > 0 for row in rows)
 
 
 def test_resilience_leak_rejection_exits_3(tmp_path, capsys):
