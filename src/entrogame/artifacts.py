@@ -9,9 +9,8 @@ a double quote, CR or LF is quoted as RFC 4180 does (inner quotes doubled).
 Every CSV artifact is paired with a JSON sidecar carrying the provenance
 (config hash, tool version) and payload metadata.
 
-The numeric writers format each distinct index or value once and join
-table entries; the density reader parses its two columns in bulk and
-falls back to a row-by-row pass only to name the first bad row.
+The Ulam writer formats each distinct index or value once and joins table
+entries.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from __future__ import annotations
 import json
 import math
 import re
-from operator import methodcaller
 from pathlib import Path
 
 import numpy as np
@@ -61,7 +59,12 @@ def _cell(value):
 
 
 def _write_lines(path, header, body):
-    """Write the CSV ``header`` line, then ``body`` (newline-terminated rows)."""
+    """Write the CSV ``header`` line, then ``body`` (newline-terminated rows).
+
+    :func:`write_density` formats whole rows with one ``%d``/``%.17g``
+    template over ``tolist()`` output: for Python ints and floats that is
+    the text :func:`_cell` gives, ``inf``/``nan`` included.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(",".join(header) + "\n" + body, encoding="utf-8", newline="\n")
@@ -164,72 +167,13 @@ def _numeric_rows(int_columns, reals):
 
 def write_density(theta, csv_path, provenance=None):
     """Write ``cell_index,value`` rows plus a partition sidecar."""
-    values = theta.values
-    body = _numeric_rows([np.arange(len(values))], values)
-    _write_lines(csv_path, ["cell_index", "value"], body)
+    rows = enumerate(theta.values.tolist())
+    _write_lines(csv_path, ["cell_index", "value"], "".join(["%d,%.17g\n" % r for r in rows]))
     payload = {"partition": _partition_payload(theta.partition), "kind": "density"}
     if provenance:
         payload["provenance"] = provenance
     write_json(sidecar_path(csv_path), payload)
     return Path(csv_path)
-
-
-def _density_columns(body, cell_count):
-    """Parse density rows in bulk; ``None`` if any row fails a check.
-
-    Makes the ``int``/``float`` calls of :func:`_density_rows` and checks
-    their results as arrays, so a file it accepts is one the row loop
-    accepts with the same values.  The fields come from one ``split`` of
-    the joined rows: a list per row would leave thousands of live
-    containers for the cyclic garbage collector to walk.
-    """
-    rows = list(filter(None, body))
-    if set(map(methodcaller("count", ","), rows)) != {1}:
-        return None
-    fields = ",".join(rows).split(",")
-    try:
-        idx = np.fromiter(map(int, fields[0::2]), dtype=np.int64, count=len(rows))
-        vals = np.fromiter(map(float, fields[1::2]), dtype=float, count=len(rows))
-    except (ValueError, OverflowError):
-        return None
-    if not (idx.min() >= 0 and idx.max() < cell_count):
-        return None
-    hits = np.bincount(idx, minlength=cell_count)
-    if hits.max() > 1 or not np.isfinite(vals).all() or (vals < 0).any():
-        return None
-    values = np.zeros(cell_count)
-    values[idx] = vals
-    return values, hits.astype(bool)
-
-
-def _density_rows(body, cell_count):
-    """Parse density rows one at a time, raising at the first bad row."""
-    values = np.zeros(cell_count)
-    seen = np.zeros(cell_count, dtype=bool)
-    for n, line in enumerate(body, start=2):
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ConfigurationError(f"density: row {n}: expected 'cell_index,value'")
-        try:
-            idx = int(parts[0])
-            val = float(parts[1])
-        except ValueError as exc:
-            raise ConfigurationError(f"density: row {n}: {exc}") from exc
-        if not 0 <= idx < cell_count:
-            raise ConfigurationError(
-                f"density: row {n}: cell_index {idx} outside 0..{cell_count - 1}"
-            )
-        if seen[idx]:
-            raise ConfigurationError(f"density: row {n}: duplicate cell_index {idx}")
-        if not math.isfinite(val):
-            raise ConfigurationError(f"density: row {n}: value must be finite")
-        if val < 0:
-            raise ConfigurationError(f"density: row {n}: negative value {val!r}")
-        seen[idx] = True
-        values[idx] = val
-    return values, seen
 
 
 def read_density(csv_path):
@@ -265,9 +209,31 @@ def read_density(csv_path):
             f"density: {csv_path} must start with the header 'cell_index,value'"
         )
     cell_count = partition.cell_count
-    body = lines[1:]
-    parsed = _density_columns(body, cell_count)
-    values, seen = _density_rows(body, cell_count) if parsed is None else parsed
+    values = np.zeros(cell_count)
+    seen = np.zeros(cell_count, dtype=bool)
+    for n, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise ConfigurationError(f"density: row {n}: expected 'cell_index,value'")
+        try:
+            idx = int(parts[0])
+            val = float(parts[1])
+        except ValueError as exc:
+            raise ConfigurationError(f"density: row {n}: {exc}") from exc
+        if not 0 <= idx < cell_count:
+            raise ConfigurationError(
+                f"density: row {n}: cell_index {idx} outside 0..{cell_count - 1}"
+            )
+        if seen[idx]:
+            raise ConfigurationError(f"density: row {n}: duplicate cell_index {idx}")
+        if not math.isfinite(val):
+            raise ConfigurationError(f"density: row {n}: value must be finite")
+        if val < 0:
+            raise ConfigurationError(f"density: row {n}: negative value {val!r}")
+        seen[idx] = True
+        values[idx] = val
     if not seen.all():
         missing = int(np.argmin(seen))
         raise ConfigurationError(f"density: cell_index {missing} missing from {csv_path}")

@@ -1,7 +1,3 @@
-import json
-import math
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -14,8 +10,6 @@ from entrogame import (
     Partition,
     StrategySpace,
 )
-from entrogame.artifacts import DENSITY_MASS_TOL
-from entrogame.errors import ConfigurationError
 from entrogame.system import closed_loop_matrix
 
 
@@ -125,59 +119,6 @@ def reference_locate(partition, points):
     flat = np.ravel_multi_index(idx.T, tuple(partition.cells_per_axis))
     out = np.where(inside, flat, -1)
     return out[0] if squeeze else out
-
-
-def reference_read_density(csv_path):
-    """``read_density`` as first written, validating row by row."""
-    csv_path = Path(csv_path)
-    meta = json.loads(csv_path.with_suffix(".json").read_text(encoding="utf-8"))
-    part = meta["partition"]
-    partition = Partition(
-        np.asarray(part["lower"], dtype=float),
-        np.asarray(part["upper"], dtype=float),
-        np.asarray(part["cells_per_axis"], dtype=np.int64),
-    )
-    lines = csv_path.read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != "cell_index,value":
-        raise ConfigurationError(
-            f"density: {csv_path} must start with the header 'cell_index,value'"
-        )
-    cell_count = partition.cell_count
-    values = np.zeros(cell_count)
-    seen = np.zeros(cell_count, dtype=bool)
-    for n, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ConfigurationError(f"density: row {n}: expected 'cell_index,value'")
-        try:
-            idx = int(parts[0])
-            val = float(parts[1])
-        except ValueError as exc:
-            raise ConfigurationError(f"density: row {n}: {exc}") from exc
-        if not 0 <= idx < cell_count:
-            raise ConfigurationError(
-                f"density: row {n}: cell_index {idx} outside 0..{cell_count - 1}"
-            )
-        if seen[idx]:
-            raise ConfigurationError(f"density: row {n}: duplicate cell_index {idx}")
-        if not math.isfinite(val):
-            raise ConfigurationError(f"density: row {n}: value must be finite")
-        if val < 0:
-            raise ConfigurationError(f"density: row {n}: negative value {val!r}")
-        seen[idx] = True
-        values[idx] = val
-    if not seen.all():
-        missing = int(np.argmin(seen))
-        raise ConfigurationError(f"density: cell_index {missing} missing from {csv_path}")
-    mass = float(values.sum() * partition.cell_volume)
-    if abs(mass - 1.0) > DENSITY_MASS_TOL:
-        raise ConfigurationError(
-            f"density: mass {mass!r} deviates from 1 by more than {DENSITY_MASS_TOL}; "
-            f"refusing to renormalise"
-        )
-    return DensityVector(partition, values)
 
 
 @pytest.fixture

@@ -1,5 +1,7 @@
 """Smoke test of ``tools/artifact_snapshot.py`` at one op per workload."""
 
+import fcntl
+import importlib.util
 import os
 import subprocess
 import sys
@@ -7,6 +9,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "artifact_snapshot.py"
+_spec = importlib.util.spec_from_file_location("artifact_snapshot", TOOL)
+artifact_snapshot = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(artifact_snapshot)
 
 # Artifacts of one op: ulam 2, stationary 3, entropy-trace 2, equilibrium 4,
 # resilience with deviations 3, perturb 2; the README resilience exits 3
@@ -17,11 +22,16 @@ FILES_PER_OP = {
 }
 
 
+def snapshot_argv(out, *args):
+    return [sys.executable, str(TOOL), str(out), *args]
+
+
+SNAPSHOT_ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+
+
 def snapshot(out, *args):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     return subprocess.run(
-        [sys.executable, str(TOOL), str(out), *args],
-        capture_output=True, text=True, env=env, timeout=300,
+        snapshot_argv(out, *args), capture_output=True, text=True, env=SNAPSHOT_ENV, timeout=300,
     )
 
 
@@ -45,3 +55,25 @@ def test_snapshot_refuses_a_non_empty_directory(tmp_path):
     proc = snapshot(tmp_path, "--ops", "0")
     assert proc.returncode == 2
     assert "is not empty" in proc.stderr
+
+
+def test_a_second_snapshot_waits_for_the_first(tmp_path):
+    out = tmp_path / "snap"
+    lock_path = artifact_snapshot.LOCK
+    with open(lock_path, "a") as lock:
+        fcntl.flock(lock, fcntl.LOCK_EX)
+        proc = subprocess.Popen(
+            snapshot_argv(out, "--ops", "0"),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=SNAPSHOT_ENV,
+        )
+        try:
+            waiting = proc.stderr.readline()
+            ran_while_locked = out.exists()
+        finally:
+            fcntl.flock(lock, fcntl.LOCK_UN)
+    stdout, stderr = proc.communicate(timeout=300)
+    assert waiting == f"waiting for {lock_path}\n"
+    assert not ran_while_locked
+    assert proc.returncode == 0, stderr
+    assert stdout.splitlines()[-1].endswith("resilience rc=3")
+    assert set(os.listdir(out)) == {"readme"}

@@ -1,5 +1,5 @@
-"""Artifact text: the table-driven writers and the bulk density reader
-against the generic writers, ``json.dumps`` and the row-by-row reader."""
+"""Artifact text: the table-driven writers against the generic writers and
+``json.dumps``, and the density reader on shuffled and malformed files."""
 
 import csv
 import io
@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entrogame import DensityVector, Partition
+from entrogame.errors import ConfigurationError
 from entrogame.artifacts import (
     _json_text,
     _jsonable,
@@ -21,7 +22,7 @@ from entrogame.artifacts import (
     write_json,
     write_ulam,
 )
-from conftest import line_partition, reference_read_density
+from conftest import line_partition
 
 SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e308, np.inf, -np.inf, np.nan, 1.0 / 3.0]
 
@@ -100,13 +101,6 @@ def test_numeric_writers_equal_write_csv_on_random_triplets(tmp_path_factory, co
     assert (out / "d.csv").read_bytes() == (out / "d_ref.csv").read_bytes()
 
 
-def outcome(reader, path):
-    try:
-        return "ok", reader(path).values.view(np.uint64).tolist()
-    except Exception as exc:  # the type and the message are compared
-        return type(exc), str(exc)
-
-
 densities = st.tuples(st.integers(1, 2), st.integers(1, 9), st.integers(1, 7)).flatmap(
     lambda shape: st.tuples(
         st.just(shape),
@@ -123,7 +117,7 @@ densities = st.tuples(st.integers(1, 2), st.integers(1, 9), st.integers(1, 7)).f
 
 @settings(max_examples=50, deadline=None)
 @given(densities)
-def test_read_density_is_bit_identical_to_the_row_loop(tmp_path_factory, case):
+def test_read_density_round_trips_shuffled_rows_bit_for_bit(tmp_path_factory, case):
     (dim, n0, n1), raw, rnd, blanks = case
     cells = [n0, n1][:dim]
     partition = Partition(np.full(dim, -0.5), np.array([1.5, 0.25][:dim]), np.array(cells))
@@ -139,49 +133,67 @@ def test_read_density_is_bit_identical_to_the_row_loop(tmp_path_factory, case):
     if blanks:
         body = [x for line in body for x in (line, "")]
     path.write_text("\n".join(lines[:1] + body) + "\n")
-    got = outcome(read_density, path)
-    assert got == outcome(reference_read_density, path)
-    assert got[0] == "ok"
+    got = read_density(path).values
+    assert got.view(np.uint64).tolist() == values.view(np.uint64).tolist()
 
 
+# Each edit of a uniform 4-cell density (rows 2-5 are cells 0-3) and the
+# message it raises; None for edits that still read.
 MALFORMED = {
-    "header": lambda ls: ["idx,val"] + ls[1:],
-    "empty body": lambda ls: ls[:1],
-    "duplicate": lambda ls: ls + [ls[1]],
-    "missing": lambda ls: ls[:-1],
-    "negative": lambda ls: ls[:-1] + ["3,-1.0"],
-    "negative zero": lambda ls: ls[:-1] + ["3,-0.0"],
-    "outside": lambda ls: ls[:-1] + ["9,1.0"],
-    "index at cell count": lambda ls: ls[:-1] + ["4,1.0"],
-    "negative index": lambda ls: ls[:-1] + ["-1,1.0"],
-    "huge index": lambda ls: ls[:-1] + ["1" * 30 + ",1.0"],
-    "inf": lambda ls: ls[:-1] + ["3,inf"],
-    "nan": lambda ls: ls[:-1] + ["3,nan"],
-    "ragged": lambda ls: ls[:-1] + ["3"],
-    "three fields": lambda ls: ls[:-1] + ["3,1.0,2"],
-    "trailing comma": lambda ls: ls[:-1] + ["3,1.0,"],
-    "bad int": lambda ls: ls[:-1] + ["x3,1.0"],
-    "float index": lambda ls: ls[:-1] + ["3.0,1.0"],
-    "empty index": lambda ls: ls[:-1] + [",1.0"],
-    "bad float": lambda ls: ls[:-1] + ["3,1.0e"],
-    "blank line": lambda ls: ls[:2] + [""] + ls[2:],
-    "spaces": lambda ls: ls[:-1] + [" 3, 1.0"],
-    "mass": lambda ls: ls[:-1] + ["3,1.5"],
-    "first of two faults": lambda ls: [ls[0], "0,-2.0"] + ls[2:] + [ls[1]],
-    "bad float before outside": lambda ls: [ls[0], "0,zz", "7,1.0"] + ls[3:],
-    "outside before bad float": lambda ls: [ls[0], "7,1.0", "0,zz"] + ls[3:],
-    "ragged after duplicate": lambda ls: ls + [ls[2], "5"],
+    "header": (lambda ls: ["idx,val"] + ls[1:], "{path} must start with the header 'cell_index,value'"),
+    "empty body": (lambda ls: ls[:1], "cell_index 0 missing from {path}"),
+    "duplicate": (lambda ls: ls + [ls[1]], "row 6: duplicate cell_index 0"),
+    "missing": (lambda ls: ls[:-1], "cell_index 3 missing from {path}"),
+    "negative": (lambda ls: ls[:-1] + ["3,-1.0"], "row 5: negative value -1.0"),
+    "negative zero": (
+        lambda ls: ls[:-1] + ["3,-0.0"],
+        "mass 0.75 deviates from 1 by more than 1e-06; refusing to renormalise",
+    ),
+    "outside": (lambda ls: ls[:-1] + ["9,1.0"], "row 5: cell_index 9 outside 0..3"),
+    "index at cell count": (lambda ls: ls[:-1] + ["4,1.0"], "row 5: cell_index 4 outside 0..3"),
+    "negative index": (lambda ls: ls[:-1] + ["-1,1.0"], "row 5: cell_index -1 outside 0..3"),
+    "huge index": (lambda ls: ls[:-1] + ["1" * 30 + ",1.0"], f"row 5: cell_index {'1' * 30} outside 0..3"),
+    "inf": (lambda ls: ls[:-1] + ["3,inf"], "row 5: value must be finite"),
+    "nan": (lambda ls: ls[:-1] + ["3,nan"], "row 5: value must be finite"),
+    "ragged": (lambda ls: ls[:-1] + ["3"], "row 5: expected 'cell_index,value'"),
+    "three fields": (lambda ls: ls[:-1] + ["3,1.0,2"], "row 5: expected 'cell_index,value'"),
+    "trailing comma": (lambda ls: ls[:-1] + ["3,1.0,"], "row 5: expected 'cell_index,value'"),
+    "bad int": (lambda ls: ls[:-1] + ["x3,1.0"], "row 5: invalid literal for int() with base 10: 'x3'"),
+    "float index": (lambda ls: ls[:-1] + ["3.0,1.0"], "row 5: invalid literal for int() with base 10: '3.0'"),
+    "empty index": (lambda ls: ls[:-1] + [",1.0"], "row 5: invalid literal for int() with base 10: ''"),
+    "bad float": (lambda ls: ls[:-1] + ["3,1.0e"], "row 5: could not convert string to float: '1.0e'"),
+    "blank line": (lambda ls: ls[:2] + [""] + ls[2:], None),
+    "spaces": (lambda ls: ls[:-1] + [" 3, 1.0"], None),
+    "mass": (
+        lambda ls: ls[:-1] + ["3,1.5"],
+        "mass 1.125 deviates from 1 by more than 1e-06; refusing to renormalise",
+    ),
+    "first of two faults": (lambda ls: [ls[0], "0,-2.0"] + ls[2:] + [ls[1]], "row 2: negative value -2.0"),
+    "bad float before outside": (
+        lambda ls: [ls[0], "0,zz", "7,1.0"] + ls[3:],
+        "row 2: could not convert string to float: 'zz'",
+    ),
+    "outside before bad float": (
+        lambda ls: [ls[0], "7,1.0", "0,zz"] + ls[3:],
+        "row 2: cell_index 7 outside 0..3",
+    ),
+    "ragged after duplicate": (lambda ls: ls + [ls[2], "5"], "row 6: duplicate cell_index 1"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED))
-def test_read_density_reports_like_the_row_loop(tmp_path, name):
+def test_read_density_names_the_first_bad_row(tmp_path, name):
+    edit, message = MALFORMED[name]
     part = line_partition(4, 0.0, 1.0)
     path = tmp_path / "theta.csv"
     write_density(DensityVector.uniform(part), path)
-    lines = MALFORMED[name](path.read_text().splitlines())
-    path.write_text("\n".join(lines) + "\n")
-    assert outcome(read_density, path) == outcome(reference_read_density, path)
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    if message is None:
+        assert read_density(path).values.tolist() == [1.0] * 4
+        return
+    with pytest.raises(ConfigurationError) as info:
+        read_density(path)
+    assert str(info.value) == "density: " + message.format(path=path)
 
 
 def csv_writer_text(row, terminator):
