@@ -20,7 +20,7 @@ from .artifacts import read_density, write_csv, write_density, write_json, write
 from .config import load_scenario
 from .errors import ConfigurationError, NumericalError
 from .game import OperatorCache, entropy_decay_trace, find_equilibrium, verify_equilibrium
-from .perturb import PATH_SCHEME, _HeldNoise, ensemble_endpoints, resilience_report
+from .perturb import PATH_SCHEME, ensemble_sweep, resilience_report
 from .system import flow_map
 from .transfer import build_ulam, stationary_density
 
@@ -235,11 +235,10 @@ def _cmd_perturb(scenario, args, out, prov):
     if x0 is None:
         x0 = (scenario.partition.lower + scenario.partition.upper) / 2.0
     rows = []
-    held = _HeldNoise()
-    for eps in noise.epsilon_list:
-        ends = ensemble_endpoints(
-            scenario.system, scenario.profile, noise, eps, x0, path_cfg, _held_noise=held
-        )
+    sweep = ensemble_sweep(
+        scenario.system, scenario.profile, noise, noise.epsilon_list, x0, path_cfg
+    )
+    for eps, ends in zip(noise.epsilon_list, sweep):
         mean = ends.mean(axis=0)
         var = ends.var(axis=0)
         for c in range(ends.shape[1]):

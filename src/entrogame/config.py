@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -41,6 +42,9 @@ def _optional(mapping, key, default=None):
 def _number(value, path):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigurationError(f"{path}: expected a number, got {type(value).__name__}")
+    # json reads NaN, Infinity and integers past the float range.
+    if not abs(value) <= sys.float_info.max:
+        raise ConfigurationError(f"{path}: expected a finite number")
     return float(value)
 
 

@@ -24,9 +24,11 @@ The perturbed grid operator is a Monte Carlo variant of the deterministic
 cell-counting build: at least 100 paths per cell start on a stratified
 in-cell pattern and row entries count endpoint destinations.  The paths of
 all cells are integrated as one batch, in chunks bounded by
-``_CHUNK_ENTRIES`` noise entries.  Since the draws depend on neither the
-noise amplitude nor the gain profile, the builds of one resilience report
-share the normals of a chunk whenever they have the same step count.
+``_CHUNK_ENTRIES`` noise entries.  The draws depend on neither the noise
+amplitude, the gain profile nor the horizon, so every build of a resilience
+report, and every epsilon of an ensemble sweep, is integrated in one pass
+over the chunks: each chunk's normals are drawn once, at the longest step
+count, and shorter horizons read a prefix of the same streams.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ __all__ = [
     "ResilienceReport",
     "simulate_sde",
     "ensemble_endpoints",
+    "ensemble_sweep",
     "build_stochastic_ulam",
     "perturbed_stationary",
     "resilience_report",
@@ -166,29 +169,6 @@ def _draw_normals(seed, first_cell, per_cell, lo, hi, n_steps, d):
     return xi
 
 
-class _HeldNoise:
-    """The normals of the last chunk drawn, kept for the next request.
-
-    A request for the same rows of the same streams and step count returns
-    the held block; any other request drops it before drawing.  At most one
-    chunk is held, so sharing one instance across builds keeps the memory
-    bound of a single build.
-    """
-
-    def __init__(self):
-        self._key = None
-        self._xi = None
-
-    def normals(self, seed, first_cell, per_cell, lo, hi, n_steps, d):
-        key = (int(seed), first_cell, per_cell, lo, hi, n_steps, d)
-        if key != self._key:
-            self._key = self._xi = None
-            self._xi = _draw_normals(*key)
-            self._xi.setflags(write=False)
-            self._key = key
-        return self._xi
-
-
 def _plan(system, profile, noise, eps, d, h, n_steps):
     """The segment plan of an ``n_steps`` horizon at step size ``h``.
 
@@ -278,27 +258,26 @@ def _walk(Z, xi, runs, scale_t, h, n_steps, trajectory=None):
     return Z, None, None
 
 
-def _integrate_paths(
-    system, profile, noise, eps, starts, h, n_steps, seed, per_cell,
-    first_cell=0, held=None,
-):
-    """Euler-Maruyama endpoints for a batch of paths, in closed form.
+def _integrate_paths(system, noise, starts, jobs, seed, per_cell, first_cell=0):
+    """Euler-Maruyama endpoints of one batch of paths for each job, in one pass.
 
     ``starts`` has shape (n, d); row ``r`` is path ``r % per_cell`` of cell
     ``first_cell + r // per_cell`` and draws from that stream through
-    :func:`_draw_normals`.  Rows are integrated in chunks of at most
-    ``_CHUNK_ENTRIES`` noise entries.  Each run of ``m`` steps in the
+    :func:`_draw_normals`.  ``jobs`` lists ``(profile, eps, h, n_steps)``.
+    Rows go in chunks of at most ``_CHUNK_ENTRIES`` noise entries at the
+    longest step count; a chunk's normals are drawn once, and shorter jobs
+    read a prefix of each stream.  Each run of ``m`` steps in a job's
     segment plan (:func:`_plan`) maps its entry state ``z`` to
     ``z T^m + sum_j xi_j S T^(m-1-j)`` (see :func:`_segment_operators`),
-    reduced row by row, so every row's endpoint is the same in any chunk.
-    ``held`` (a :class:`_HeldNoise`) lets consecutive calls on the same
-    streams share their normals.
+    reduced row by row, so a row's endpoint is the same in any chunk.
 
     A chunk whose closed-form result is not finite is walked step by step
     (:func:`_walk`): a walk that stays finite is kept, one that does not
-    gives the step and cell of the error.  Raises ``DivergenceError`` at the
-    earliest step at which any row is non-finite, naming the lowest cell
-    with a non-finite row at that step.
+    gives the step and cell of the error.  Once every job is integrated,
+    yields each job's endpoints in order; a job whose paths diverged raises
+    ``DivergenceError`` in its turn, at the earliest step at which any of
+    its rows is non-finite, naming the lowest cell with a non-finite row at
+    that step.
     """
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
     n, d = starts.shape
@@ -306,40 +285,46 @@ def _integrate_paths(
         raise ConfigurationError(
             f"starts: dimension {d} does not match the state dimension {system.dim}"
         )
-    noisy, scale_t, runs = _plan(system, profile, noise, eps, d, h, n_steps)
-    if held is None:
-        held = _HeldNoise()
-    with np.errstate(over="ignore", invalid="ignore"):
-        operators = [
-            _segment_operators(mat_t, scale_t, h, m, noisy) for mat_t, _, m in runs
-        ]
+    plans = []
+    for profile, eps, h, n_steps in jobs:
+        noisy, scale_t, runs = _plan(system, profile, noise, eps, d, h, n_steps)
+        with np.errstate(over="ignore", invalid="ignore"):
+            operators = [
+                _segment_operators(mat_t, scale_t, h, m, noisy) for mat_t, _, m in runs
+            ]
+        plans.append((noisy, scale_t, runs, operators, h, n_steps))
+    longest = max((n_steps for *_, n_steps in jobs), default=0)
+    any_noisy = any(plan[0] for plan in plans)
 
-    endpoints = np.empty((n, d))
-    failure = None  # (step, cell) of the earliest divergence so far
-    chunk = max(1, min(n, _CHUNK_ENTRIES // max(1, n_steps * d)))
+    endpoints = [np.empty((n, d)) for _ in jobs]
+    errors = [None] * len(jobs)  # each job's earliest divergence so far
+    chunk = max(1, min(n, _CHUNK_ENTRIES // max(1, longest * d)))
     for lo in range(0, n, chunk):
         hi = min(n, lo + chunk)
-        xi = held.normals(seed, first_cell, per_cell, lo, hi, n_steps, d) if noisy else None
-        Z = starts[lo:hi]
-        with np.errstate(over="ignore", invalid="ignore"):
-            for (_, k0, m), (powers, kernel) in zip(runs, operators):
-                seg_xi = xi[:, k0:k0 + m] if noisy else None
-                Z = _advance(Z, seg_xi, powers, kernel, m)
-        if not np.isfinite(Z).all():
-            # After a divergence only an earlier step can change the report.
-            steps = n_steps if failure is None else failure[0] - 1
-            Z, step, row = _walk(starts[lo:hi], xi, runs, scale_t, h, steps)
-            if step is not None:
-                failure = (step, first_cell + (lo + row) // per_cell)
-        endpoints[lo:hi] = Z
-    if failure is not None:
-        step, cell = failure
-        raise DivergenceError(
-            f"path integration diverged at step {step} in cell {cell}",
-            step=step,
-            cell=cell,
-        )
-    return endpoints
+        xi = _draw_normals(seed, first_cell, per_cell, lo, hi, longest, d) if any_noisy else None
+        for k, (noisy, scale_t, runs, operators, h, n_steps) in enumerate(plans):
+            Z = starts[lo:hi]
+            with np.errstate(over="ignore", invalid="ignore"):
+                for (_, k0, m), (powers, kernel) in zip(runs, operators):
+                    seg_xi = xi[:, k0:k0 + m] if noisy else None
+                    Z = _advance(Z, seg_xi, powers, kernel, m)
+            if not np.isfinite(Z).all():
+                # After a divergence only an earlier step can change the report.
+                steps = n_steps if errors[k] is None else errors[k].step - 1
+                job_xi = xi if noisy else None
+                Z, step, row = _walk(starts[lo:hi], job_xi, runs, scale_t, h, steps)
+                if step is not None:
+                    cell = first_cell + (lo + row) // per_cell
+                    errors[k] = DivergenceError(
+                        f"path integration diverged at step {step} in cell {cell}",
+                        step=step,
+                        cell=cell,
+                    )
+            endpoints[k][lo:hi] = Z
+    for ends, error in zip(endpoints, errors):
+        if error is not None:
+            raise error
+        yield ends
 
 
 def simulate_sde(system, profile, noise, eps, x0, path_cfg, path=0, cell=0):
@@ -388,36 +373,32 @@ def simulate_sde(system, profile, noise, eps, x0, path_cfg, path=0, cell=0):
     return trajectory
 
 
-def ensemble_endpoints(
-    system, profile, noise, eps, x0, path_cfg, cell=0, *, _held_noise=None
-):
+def ensemble_endpoints(system, profile, noise, eps, x0, path_cfg, cell=0):
     """Endpoints of ``n_paths`` trajectories from a common start.
 
     Path ``p`` uses the stream keyed ``(seed, cell, p)``.  Returns an array
-    of shape ``(n_paths, d)``.  ``_held_noise`` is a private
-    :class:`_HeldNoise` through which consecutive calls on the same streams,
-    such as the noisy epsilons of a sweep, share their normals.
+    of shape ``(n_paths, d)``.
+    """
+    return ensemble_sweep(system, profile, noise, (eps,), x0, path_cfg, cell)[0]
+
+
+def ensemble_sweep(system, profile, noise, epsilons, x0, path_cfg, cell=0):
+    """:func:`ensemble_endpoints` at every epsilon of ``epsilons``, in one pass.
+
+    The normals are drawn once and read at every epsilon.  Returns one
+    endpoint array per epsilon; the first epsilon, in order, whose paths
+    diverge raises its ``DivergenceError``.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     starts = np.broadcast_to(x0, (path_cfg.n_paths, x0.shape[0])).copy()
-    return _integrate_paths(
-        system, profile, noise, eps, starts, path_cfg.h, path_cfg.n_steps,
-        path_cfg.seed, path_cfg.n_paths, first_cell=cell, held=_held_noise,
-    )
+    jobs = [(profile, eps, path_cfg.h, path_cfg.n_steps) for eps in epsilons]
+    return list(_integrate_paths(
+        system, noise, starts, jobs, path_cfg.seed, path_cfg.n_paths, first_cell=cell
+    ))
 
 
 def build_stochastic_ulam(
-    partition,
-    system,
-    profile,
-    noise,
-    eps,
-    t,
-    path_cfg,
-    *,
-    leak_tol=0.05,
-    threads=1,
-    _held_noise=None,
+    partition, system, profile, noise, eps, t, path_cfg, *, leak_tol=0.05
 ):
     """Monte Carlo push-forward matrix of the perturbed flow over ``[0, t]``.
 
@@ -427,46 +408,54 @@ def build_stochastic_ulam(
     paths.  The number of steps is ``round(t / h)`` with the
     step size adjusted to land on ``t`` exactly.  The paths of all cells
     are integrated as one batch with rows in ``(cell, path)`` order, each
-    row drawing from the stream keyed ``(seed, cell, path)``.  ``threads``
-    is accepted for compatibility and ignored; the matrix never depended
-    on it.  ``_held_noise`` is a private :class:`_HeldNoise` through which
-    consecutive builds on the same streams share their normals.
+    row drawing from the stream keyed ``(seed, cell, path)``.
 
     Raises ``DomainEscapeError`` if any row loses more than ``leak_tol``
     of its paths past the box, and ``DivergenceError`` naming the step and
     cell if a path becomes non-finite.
+    """
+    builds = [(profile, eps, t)]
+    return next(_stochastic_ulams(partition, system, noise, builds, path_cfg, leak_tol))
+
+
+def _stochastic_ulams(partition, system, noise, builds, path_cfg, leak_tol):
+    """Yields the :func:`build_stochastic_ulam` matrix of each of ``builds``,
+    a list of ``(profile, eps, t)``, from one pass over the streams.
+
+    The builds are checked in order, so the first one that fails raises its
+    own error.
     """
     if path_cfg.n_paths < _MIN_PATHS_PER_CELL:
         raise ConfigurationError(
             f"n_paths: at least {_MIN_PATHS_PER_CELL} paths per cell are required, "
             f"got {path_cfg.n_paths}"
         )
-    if not t > 0:
-        raise ConfigurationError(f"t: horizon must be positive, got {t!r}")
-    n_steps = max(1, int(round(t / path_cfg.h)))
-    h_eff = t / n_steps
+    jobs = []
+    for profile, eps, t in builds:
+        if not t > 0:
+            raise ConfigurationError(f"t: horizon must be positive, got {t!r}")
+        n_steps = max(1, int(round(t / path_cfg.h)))
+        jobs.append((profile, eps, t / n_steps, n_steps))
 
     n_paths = path_cfg.n_paths
     q = int(np.ceil(n_paths ** (1.0 / partition.dim)))
     while q ** partition.dim < n_paths:
         q += 1
     starts = partition.sample_points(q)[:, :n_paths].reshape(-1, partition.dim)
-    ends = _integrate_paths(
-        system, profile, noise, eps, starts, h_eff, n_steps, path_cfg.seed,
-        n_paths, held=_held_noise,
-    )
-    dest = partition.locate(ends).reshape(partition.cell_count, n_paths)
-    return ulam_from_destinations(
-        partition,
-        dest,
-        leak_tol=leak_tol,
-        escape_message=(
-            "cell {cell} lost {leak:.4f} of its paths past the domain (tolerance {tol})"
-        ),
-        t0=0.0,
-        t1=float(t),
-        flow_id=f"sde:eps={eps:.12g}:seed={path_cfg.seed}:{profile.hash_hex()}",
-    )
+    paths = _integrate_paths(system, noise, starts, jobs, path_cfg.seed, n_paths)
+    for (profile, eps, t), ends in zip(builds, paths):
+        dest = partition.locate(ends).reshape(partition.cell_count, n_paths)
+        yield ulam_from_destinations(
+            partition,
+            dest,
+            leak_tol=leak_tol,
+            escape_message=(
+                "cell {cell} lost {leak:.4f} of its paths past the domain (tolerance {tol})"
+            ),
+            t0=0.0,
+            t1=float(t),
+            flow_id=f"sde:eps={eps:.12g}:seed={path_cfg.seed}:{profile.hash_hex()}",
+        )
 
 
 def perturbed_stationary(matrix, theta0=None, tol=1e-10, max_iter=5000, cesaro=False):
@@ -596,27 +585,30 @@ def resilience_report(
             for j, k, dev_profile in _unilateral_deviations(profile, space)
         ]
 
-    # Draws depend only on (seed, cell, path): builds with the same step
-    # count share one chunk of normals across epsilons and profiles.
-    held = _HeldNoise()
+    sweep = [
+        (swept, eps, t, label)
+        for eps in noise.epsilon_list if eps > 0
+        for t in cfg.time_grid
+        for label, swept in profiles
+    ]
+    matrices = _stochastic_ulams(
+        cfg.theta_ref.partition, system, noise, [b[:3] for b in sweep], path_cfg, cfg.leak_tol
+    )
     entries = []
     deviation_entries = []
-    for eps in noise.epsilon_list:
-        for t in cfg.time_grid:
-            if eps == 0.0:
-                # Zero noise is the deterministic operator by definition.
-                entries += [ResilienceEntry(eps, t, i, 0.0, 0.0, 0.0) for i in range(len(thetas))]
-                continue
-            for label, swept in profiles:
-                P_eps = build_stochastic_ulam(
-                    cfg.theta_ref.partition, system, swept, noise, eps, t, path_cfg,
-                    leak_tol=cfg.leak_tol, _held_noise=held,
-                )
-                rows = entries if swept is profile else deviation_entries
-                for i, theta in enumerate(thetas):
-                    pushed = apply_fp(P_eps, theta, renormalize=True)
-                    l1, rel, violation = _compare(pushed, det_pushes[(t, i)], kl_floor)
-                    rows.append(ResilienceEntry(eps, t, i, l1, rel, violation, profile_id=label))
+    for (swept, eps, t, label), P_eps in zip(sweep, matrices):
+        rows = entries if swept is profile else deviation_entries
+        for i, theta in enumerate(thetas):
+            pushed = apply_fp(P_eps, theta, renormalize=True)
+            l1, rel, violation = _compare(pushed, det_pushes[(t, i)], kl_floor)
+            rows.append(ResilienceEntry(eps, t, i, l1, rel, violation, profile_id=label))
+    if noise.epsilon_list[-1] == 0.0:
+        # Zero noise is the deterministic operator by definition.
+        entries += [
+            ResilienceEntry(noise.epsilon_list[-1], t, i, 0.0, 0.0, 0.0)
+            for t in cfg.time_grid
+            for i in range(len(thetas))
+        ]
 
     theta_eps = []
     for eps in noise.epsilon_list:

@@ -485,7 +485,6 @@ def build_ulam(
     samples_per_cell,
     *,
     leak_tol=DEFAULT_LEAK_TOL,
-    threads=1,
     t0=None,
     t1=None,
     flow_id=None,
@@ -502,9 +501,6 @@ def build_ulam(
         on a regular ``q`` per-axis interior sub-grid.
     leak_tol : float
         Worst-row leakage fraction accepted before the build is rejected.
-    threads : int
-        Accepted for compatibility and ignored: the build is one vectorised
-        pass, and its result never depended on the thread count.
     t0, t1, flow_id : optional metadata
         Defaults are taken from the flow's ``transition``/``flow_id``
         attributes when present.

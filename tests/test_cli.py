@@ -346,6 +346,34 @@ def test_bad_thread_count_is_a_usage_error(tmp_path, capsys):
     assert "--threads" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+@pytest.mark.parametrize(
+    "command, path",
+    [
+        ("perturb", "perturb.t"),
+        ("perturb", "perturb.h"),
+        ("perturb", "perturb.x0[0]"),
+        ("stationary", "stationary.tol"),
+        ("equilibrium", "game.time_grid[1]"),
+    ],
+)
+def test_non_finite_scenario_numbers_are_usage_errors(tmp_path, capsys, command, path, value):
+    # json reads Infinity, -Infinity and NaN; a scenario may not use them.
+    raw = scenario_dict()
+    raw["perturb"]["x0"] = [0.0]
+    raw["stationary"] = {}
+    block, _, field = path.partition(".")
+    name, _, index = field.partition("[")
+    if index:
+        raw[block][name][int(index.rstrip("]"))] = value
+    else:
+        raw[block][name] = value
+    rc, out, _ = run(tmp_path, command, raw)
+    assert rc == 2
+    assert f"{path}: expected a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_config_file_exits_2(tmp_path, capsys):
     rc = main(["ulam", "--config", str(tmp_path / "nope.json")])
     assert rc == 2

@@ -130,8 +130,8 @@ def test_closed_form_endpoints_match_the_step_loop(seed):
         starts = rng.uniform(-1.5, 1.5, (n, system.dim))
         path_seed = int(rng.integers(0, 2**40))
         expected = step_loop(system, profile, noise, eps, starts, h, n_steps, path_seed, 7)
-        got = perturb_mod._integrate_paths(
-            system, profile, noise, eps, starts, h, n_steps, path_seed, 7
+        (got,) = perturb_mod._integrate_paths(
+            system, noise, starts, [(profile, eps, h, n_steps)], path_seed, 7
         )
         assert np.max(np.abs(got - expected)) <= 1e-12
 
@@ -153,8 +153,8 @@ def test_stochastic_build_destinations_that_change_cell(capsys):
         n_steps = int(rng.integers(10, 100))
         path_seed = int(rng.integers(0, 2**40))
         old = step_loop(system, profile, noise, eps, starts, h, n_steps, path_seed, 100)
-        new = perturb_mod._integrate_paths(
-            system, profile, noise, eps, starts, h, n_steps, path_seed, 100
+        (new,) = perturb_mod._integrate_paths(
+            system, noise, starts, [(profile, eps, h, n_steps)], path_seed, 100
         )
         moved = part.locate(old) != part.locate(new)
         faces = part.lower + np.round((old - part.lower) / part.widths) * part.widths

@@ -205,6 +205,10 @@ def test_reference_density_from_file(tmp_path):
             lambda r: r.__setitem__("output", {"directory": 7}),
             r"output\.directory",
         ),
+        (
+            lambda r: r["perturb"].__setitem__("h", 10**400),
+            r"perturb\.h: expected a finite number",
+        ),
     ],
 )
 def test_field_errors_carry_their_json_path(mutate, message):

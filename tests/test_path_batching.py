@@ -1,6 +1,6 @@
 """The batched stochastic build against the per-cell path loop it replaced,
-noise shared across the builds of a resilience report, and path divergence
-reports naming their step and cell."""
+one pass over the noise streams for every build of a resilience report, and
+path divergence reports naming their step and cell."""
 
 import numpy as np
 import pytest
@@ -9,6 +9,7 @@ import entrogame.perturb as perturb_mod
 from entrogame import (
     DensityVector,
     DivergenceError,
+    DomainEscapeError,
     FeedbackGain,
     FeedbackProfile,
     GameConfig,
@@ -18,10 +19,13 @@ from entrogame import (
     ScheduleSegment,
     SdePathConfig,
     StrategySpace,
+    apply_fp,
     build_stochastic_ulam,
     ensemble_endpoints,
     resilience_report,
 )
+from entrogame.game import OperatorCache, _unilateral_deviations
+from entrogame.perturb import ResilienceEntry
 from entrogame.transfer import ulam_from_destinations
 from conftest import (
     line_partition,
@@ -31,6 +35,7 @@ from conftest import (
     step_drifts,
     tilted_density,
 )
+from test_closed_form_paths import random_system
 
 
 def per_cell_paths(system, profile, noise, eps, starts, h, n_steps, seed, cell):
@@ -161,15 +166,45 @@ def resilience_case(time_grid):
     return system, profile, noise, cfg, path_cfg, thetas, space
 
 
+def per_build_rows(system, profile, noise, cfg, path_cfg, thetas, space, kl_floor):
+    """The report's equilibrium and deviation rows from one
+    ``build_stochastic_ulam`` call per noisy (eps, t, profile)."""
+    cache = OperatorCache(system, cfg)
+    profiles = [("equilibrium", profile)] + [
+        (f"deviation:j={j},k={k}", dev) for j, k, dev in _unilateral_deviations(profile, space)
+    ]
+    entries, deviation_entries = [], []
+    for eps in noise.epsilon_list:
+        for t in cfg.time_grid:
+            if eps == 0.0:
+                entries += [ResilienceEntry(eps, t, i, 0.0, 0.0, 0.0) for i in range(len(thetas))]
+                continue
+            det = cache.operator(profile, t)
+            for label, swept in profiles:
+                P = build_stochastic_ulam(
+                    cfg.theta_ref.partition, system, swept, noise, eps, t, path_cfg,
+                    leak_tol=cfg.leak_tol,
+                )
+                rows = entries if swept is profile else deviation_entries
+                for i, theta in enumerate(thetas):
+                    l1, rel, violation = perturb_mod._compare(
+                        apply_fp(P, theta, renormalize=True),
+                        apply_fp(det, theta, renormalize=True),
+                        kl_floor,
+                    )
+                    rows.append(ResilienceEntry(eps, t, i, l1, rel, violation, profile_id=label))
+    return entries, deviation_entries
+
+
 @pytest.mark.parametrize(
     "time_grid, chunk_rows, shared_draws",
     [
         # One grid time, one chunk: every build reads the same normals.
         ((0.5,), None, 1),
-        # Two grid times alternate the step count: one draw per (eps, t).
-        ((0.5, 1.0), None, 4),
-        # Three chunks per build: every build draws all of them again.
-        ((0.5,), 700, 2 * 3 * 3),
+        # Two grid times: the shorter horizon reads a prefix of each stream.
+        ((0.5, 1.0), None, 1),
+        # Three chunks: each is drawn once for all builds.
+        ((0.5,), 700, 3),
     ],
 )
 def test_shared_noise_report_equals_independent_builds(
@@ -184,26 +219,18 @@ def test_shared_noise_report_equals_independent_builds(
         perturb_mod, "_draw_normals", lambda *a: draws.append(a) or draw(*a)
     )
 
-    def report():
-        return resilience_report(
-            system, profile, noise, cfg, path_cfg, thetas,
-            kl_floor=1e-12, with_deviations=True, space=space,
-        )
-
-    shared = report()
+    shared = resilience_report(
+        system, profile, noise, cfg, path_cfg, thetas,
+        kl_floor=1e-12, with_deviations=True, space=space,
+    )
     n_shared = len(draws)
     draws.clear()
-    build = perturb_mod.build_stochastic_ulam
-    monkeypatch.setattr(
-        perturb_mod,
-        "build_stochastic_ulam",
-        lambda *a, _held_noise=None, **k: build(*a, **k),
+    entries, deviation_entries = per_build_rows(
+        system, profile, noise, cfg, path_cfg, thetas, space, 1e-12
     )
-    independent = report()
 
-    assert shared.entries == independent.entries
-    assert shared.deviation_entries == independent.deviation_entries
-    assert shared.theta_eps == independent.theta_eps
+    assert shared.entries == tuple(entries)
+    assert shared.deviation_entries == tuple(deviation_entries)
     assert len(shared.deviation_entries) == 2 * len(time_grid) * 2 * 2
     assert n_shared == shared_draws
     # Independent builds draw every chunk of each of the 2 x 3 noisy builds
@@ -212,15 +239,55 @@ def test_shared_noise_report_equals_independent_builds(
     assert len(draws) == 2 * len(time_grid) * 3 * chunks
 
 
-def test_held_noise_is_read_only_and_dropped_on_a_new_request():
-    held = perturb_mod._HeldNoise()
-    a = held.normals(3, 0, 100, 0, 10, 5, 1)
-    assert a is held.normals(3, 0, 100, 0, 10, 5, 1)
-    assert not a.flags.writeable
-    b = held.normals(3, 0, 100, 0, 10, 6, 1)
-    assert b.shape == (10, 6, 1)
-    # Normals are a prefix of the stream: fewer steps read the same values.
-    assert np.array_equal(b[:, :5], a)
+def test_fewer_steps_read_a_prefix_of_the_streams():
+    longer = perturb_mod._draw_normals(3, 0, 100, 0, 10, 6, 1)
+    assert np.array_equal(longer[:, :5], perturb_mod._draw_normals(3, 0, 100, 0, 10, 5, 1))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_one_pass_jobs_equal_one_job_calls(monkeypatch, seed):
+    rng = np.random.default_rng(700 + seed)
+    d = int(rng.integers(1, 4))
+    system, _, noise = random_system(rng, d, int(rng.integers(1, 4)))
+    jobs = [
+        (
+            FeedbackProfile((FeedbackGain(1, rng.normal(0.0, 0.3, (1, d))),)),
+            eps,
+            float(rng.uniform(0.005, 0.05)),
+            int(rng.integers(1, 60)),
+        )
+        for eps in [0.0, float(rng.uniform(0.001, 0.3))]
+        + [float(rng.choice([0.0, rng.uniform(0.001, 0.3)])) for _ in range(int(rng.integers(1, 4)))]
+    ]
+    per_cell, first_cell = int(rng.integers(1, 9)), int(rng.integers(0, 5))
+    n = 3 * int(rng.integers(2, 12)) + 1
+    starts = rng.uniform(-1.5, 1.5, (n, d))
+    path_seed = int(rng.integers(0, 2**40))
+    single = [
+        next(perturb_mod._integrate_paths(
+            system, noise, starts, [job], path_seed, per_cell, first_cell
+        ))
+        for job in jobs
+    ]
+    draws = []
+    draw = perturb_mod._draw_normals
+    monkeypatch.setattr(
+        perturb_mod, "_draw_normals", lambda *a: draws.append(a) or draw(*a)
+    )
+    longest = max(n_steps for *_, n_steps in jobs)
+    # Chunks of 1, 2 and 3 rows; n is odd and not a multiple of 3, so the
+    # last chunk is short.
+    for rows in (1, 2, 3):
+        monkeypatch.setattr(perturb_mod, "_CHUNK_ENTRIES", rows * longest * d)
+        draws.clear()
+        results = list(perturb_mod._integrate_paths(
+            system, noise, starts, jobs, path_seed, per_cell, first_cell
+        ))
+        assert len(draws) == -(-n // rows)
+        assert {a[5] for a in draws} == {longest}
+        assert len(results) == len(jobs)
+        for ends, expected in zip(results, single):
+            assert np.array_equal(ends, expected)
 
 
 # ----------------------------------------------------------- divergence
@@ -273,3 +340,34 @@ def test_ensemble_divergence_names_step_and_cell():
     assert err.value.step == expected.value.step
     assert err.value.cell == 5
     assert "in cell 5" in str(err.value)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_sweep_raises_the_first_failing_build():
+    # The loop grows by 1.5 (gain 0) or 1.8 (gain 3) per step.  At t = 0.5
+    # the paths leave the box without overflowing; at t = 250 they overflow,
+    # the faster loop at an earlier step.
+    system = scalar_system(a=5.0)
+    slow, fast = scalar_profile(0.0), scalar_profile(3.0)
+    part = line_partition(8, -1.0, 3.0)
+    noise = NoiseSpec(sigma=np.array([[1.0]]), epsilon_list=(0.1,))
+    path_cfg = SdePathConfig(h=0.1, n_steps=1, n_paths=100, seed=1)
+
+    def failure(builds):
+        with pytest.raises((DivergenceError, DomainEscapeError)) as err:
+            list(perturb_mod._stochastic_ulams(part, system, noise, builds, path_cfg, 0.05))
+        return err.value
+
+    def alone(profile, t):
+        return failure([(profile, 0.1, t)])
+
+    leak = alone(slow, 0.5)
+    assert isinstance(leak, DomainEscapeError)
+    got = failure([(slow, 0.1, 0.5), (fast, 0.1, 250.0)])
+    assert type(got) is DomainEscapeError and str(got) == str(leak)
+
+    late, early = alone(slow, 250.0), alone(fast, 250.0)
+    assert isinstance(late, DivergenceError) and early.step < late.step
+    got = failure([(slow, 0.1, 250.0), (fast, 0.1, 250.0), (slow, 0.1, 0.5)])
+    assert isinstance(got, DivergenceError)
+    assert (got.step, got.cell, str(got)) == (late.step, late.cell, str(late))

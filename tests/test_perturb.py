@@ -105,22 +105,6 @@ def test_ou_endpoint_moments():
 
 # ----------------------------------------------------------- matrix building
 
-def test_stochastic_matrix_is_thread_invariant():
-    system = scalar_system()
-    profile = scalar_profile(-2.0)
-    noise = unit_noise(0.1)
-    part = line_partition(16)
-    cfg = SdePathConfig(h=0.01, n_steps=1, n_paths=100, seed=7)
-    mats = [
-        build_stochastic_ulam(
-            part, system, profile, noise, 0.1, 0.5, cfg, threads=k
-        )
-        for k in (1, 2, 8)
-    ]
-    assert np.array_equal(mats[0].counts, mats[1].counts)
-    assert np.array_equal(mats[0].counts, mats[2].counts)
-
-
 def test_zero_noise_matrix_ignores_the_seed():
     system = scalar_system()
     profile = scalar_profile(-2.0)

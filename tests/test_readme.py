@@ -35,20 +35,28 @@ def test_perturb_scenario_draws_the_normals_once(tmp_path, monkeypatch):
     monkeypatch.setattr(perturb_mod, "_draw_normals", lambda *a: draws.append(a) or draw(*a))
 
     def run(out):
+        draws.clear()
         rc = cli_mod.main(["perturb", "--config", str(config), "--out", str(tmp_path / out)])
         assert rc == 0
-        return (tmp_path / out / "perturb_stats.csv").read_bytes()
+        return (tmp_path / out / "perturb_stats.csv").read_bytes(), len(draws)
 
-    shared = run("shared")
-    assert len(draws) == 1
-    # Without the shared noise each of the two noisy epsilons draws again.
-    draws.clear()
-    endpoints = cli_mod.ensemble_endpoints
-    monkeypatch.setattr(
-        cli_mod, "ensemble_endpoints", lambda *a, _held_noise=None, **k: endpoints(*a, **k)
-    )
-    assert run("per_epsilon") == shared
-    assert len(draws) == 2
+    def per_epsilon(system, profile, noise, epsilons, x0, path_cfg):
+        return [
+            perturb_mod.ensemble_endpoints(system, profile, noise, eps, x0, path_cfg)
+            for eps in epsilons
+        ]
+
+    # 200 paths x 100 steps: one chunk, then four chunks of 50 paths.
+    for chunk_entries, chunks in ((perturb_mod._CHUNK_ENTRIES, 1), (5000, 4)):
+        monkeypatch.setattr(perturb_mod, "_CHUNK_ENTRIES", chunk_entries)
+        with monkeypatch.context() as patch:
+            patch.setattr(cli_mod, "ensemble_sweep", per_epsilon)
+            reference, reference_draws = run(f"per_epsilon_{chunks}")
+        shared, shared_draws = run(f"shared_{chunks}")
+        assert shared == reference
+        assert shared_draws == chunks
+        # Per-epsilon calls draw every chunk again for each noisy epsilon.
+        assert reference_draws == 2 * chunks
 
 
 def test_command_lines_run_on_the_scenario(tmp_path, monkeypatch, capsys):

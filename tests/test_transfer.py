@@ -131,16 +131,6 @@ def test_counts_plus_escaped_is_exact_for_any_scale():
         )
 
 
-def test_build_threads_produce_identical_matrix():
-    system = scalar_system()
-    profile = scalar_profile(-0.6)
-    part = line_partition(64)
-    fm = flow_map(system, profile, 0.0, 1.0, 100)
-    P1 = build_ulam(part, fm, 8, threads=1)
-    P4 = build_ulam(part, fm, 8, threads=4)
-    assert np.array_equal(P1.counts, P4.counts)
-
-
 def test_build_metadata_from_flow_attributes():
     system = scalar_system()
     profile = scalar_profile(-0.5)
