@@ -192,12 +192,8 @@ def read_density(csv_path):
         raise ConfigurationError(f"density: invalid sidecar JSON {side}: {exc}") from exc
     try:
         part = meta["partition"]
-        partition = Partition(
-            np.asarray(part["lower"], dtype=float),
-            np.asarray(part["upper"], dtype=float),
-            np.asarray(part["cells_per_axis"], dtype=np.int64),
-        )
-    except (KeyError, TypeError) as exc:
+        partition = Partition(part["lower"], part["upper"], part["cells_per_axis"])
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"density: sidecar {side} lacks a partition block") from exc
 
     try:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .game import GameConfig, StrategySpace
-from .perturb import NoiseSpec, SdePathConfig
+from .perturb import NoiseSpec, SdePathConfig, _step_count
 from .system import FeedbackGain, FeedbackProfile, MultiChannelSystem, ScheduleSegment
 from .transfer import DensityVector, Partition
 
@@ -51,6 +51,12 @@ def _number(value, path):
 def _int(value, path):
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigurationError(f"{path}: expected an integer, got {type(value).__name__}")
+    return value
+
+
+def _bool(value, path):
+    if not isinstance(value, bool):
+        raise ConfigurationError(f"{path}: expected true or false, got {type(value).__name__}")
     return value
 
 
@@ -147,10 +153,9 @@ class ScenarioConfig:
 
     def path_config(self, seed_override=None):
         p = self.require_perturb()
-        n_steps = max(1, int(round(p["t"] / p["h"])))
         return SdePathConfig(
             h=p["h"],
-            n_steps=n_steps,
+            n_steps=_step_count(p["t"], p["h"]),
             n_paths=p["n_paths"],
             seed=p["seed"] if seed_override is None else seed_override,
         )
@@ -264,6 +269,7 @@ def _parse_game(block, n_channels):
     trace = _optional(block, "trace_densities", []) or []
     if not isinstance(trace, list) or not all(isinstance(p, str) for p in trace):
         raise ConfigurationError("game.trace_densities: expected a list of CSV paths")
+    stability_filter = _bool(_optional(block, "stability_filter", False), "game.stability_filter")
     return {
         "time_grid": tuple(grid),
         "candidates": candidates,
@@ -271,7 +277,7 @@ def _parse_game(block, n_channels):
         "max_rounds": max_rounds,
         "reference": reference,
         "trace_densities": tuple(trace),
-        "stability_filter": bool(_optional(block, "stability_filter", False)),
+        "stability_filter": stability_filter,
     }
 
 
@@ -343,7 +349,7 @@ def parse_scenario(raw, config_sha256=""):
     stationary = _optional(raw, "stationary", {}) or {}
     st_tol = _number(_optional(stationary, "tol", 1e-10), "stationary.tol")
     st_max = _int(_optional(stationary, "max_iter", 5000), "stationary.max_iter")
-    st_cesaro = bool(_optional(stationary, "cesaro", False))
+    st_cesaro = _bool(_optional(stationary, "cesaro", False), "stationary.cesaro")
 
     game = None
     if "game" in raw:

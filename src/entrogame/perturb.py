@@ -43,10 +43,10 @@ from .game import OperatorCache, _unilateral_deviations
 from .system import closed_loop_matrix
 from .transfer import (
     DensityVector,
+    UlamMatrix,
     apply_fp,
     l1_distance,
     stationary_density,
-    ulam_from_destinations,
 )
 
 __all__ = [
@@ -121,6 +121,15 @@ class SdePathConfig:
             raise ConfigurationError(f"n_paths: must be >= 1, got {self.n_paths!r}")
         if self.seed < 0:
             raise ConfigurationError(f"seed: must be >= 0, got {self.seed!r}")
+
+
+def _step_count(t, h):
+    """``round(t / h)`` steps, at least one; ``ConfigurationError`` if
+    ``t / h`` overflows, as finite ``t`` and ``h`` can make it."""
+    ratio = t / h
+    if not np.isfinite(ratio):
+        raise ConfigurationError(f"t / h: {t!r} / {h!r} is not a finite step count")
+    return max(1, int(round(ratio)))
 
 
 # Cell and path indices each fill one 32-bit half of a stream's key word.
@@ -434,7 +443,7 @@ def _stochastic_ulams(partition, system, noise, builds, path_cfg, leak_tol):
     for profile, eps, t in builds:
         if not t > 0:
             raise ConfigurationError(f"t: horizon must be positive, got {t!r}")
-        n_steps = max(1, int(round(t / path_cfg.h)))
+        n_steps = _step_count(t, path_cfg.h)
         jobs.append((profile, eps, t / n_steps, n_steps))
 
     n_paths = path_cfg.n_paths
@@ -445,7 +454,7 @@ def _stochastic_ulams(partition, system, noise, builds, path_cfg, leak_tol):
     paths = _integrate_paths(system, noise, starts, jobs, path_cfg.seed, n_paths)
     for (profile, eps, t), ends in zip(builds, paths):
         dest = partition.locate(ends).reshape(partition.cell_count, n_paths)
-        yield ulam_from_destinations(
+        yield UlamMatrix(
             partition,
             dest,
             leak_tol=leak_tol,

@@ -15,10 +15,10 @@ same IEEE operations as the broadcast ``(n, d)`` form, so points and
 indices are identical to it; location forms the flat C-order index by
 Horner's rule.
 
-A row holds only the few cells its samples reach, so the operator is kept
-in compressed sparse row form, built in one pass by counting the distinct
-``(row, destination)`` keys of all sample images.  No ``M x M`` array is
-formed on any production path.
+Every operator, deterministic or stochastic, is a table of where each
+cell's samples landed, handed to :class:`UlamMatrix`: it holds the one leak
+gate and counts the distinct ``(row, destination)`` keys into compressed
+sparse row form.  No ``M x M`` array is formed on any production path.
 
 The matrix acts in two dual ways: on densities (push-forward, transposed
 action on cell masses) and on observables (composition, plain action).
@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -47,10 +46,8 @@ __all__ = [
     "DensityVector",
     "ObservableVector",
     "UlamMatrix",
-    "SparseCounts",
     "StationaryResult",
     "build_ulam",
-    "ulam_from_destinations",
     "apply_fp",
     "apply_koopman",
     "adjoint_residual",
@@ -61,6 +58,7 @@ __all__ = [
 ]
 
 DEFAULT_LEAK_TOL = 0.05
+_LEAK_MESSAGE = "cell {cell} leaks {leak:.4f} of its mass out of the domain (tolerance {tol})"
 UNIT_MASS_TOL = 1e-9
 
 
@@ -85,7 +83,12 @@ class Partition:
     def __post_init__(self):
         lower = np.atleast_1d(np.asarray(self.lower, dtype=float))
         upper = np.atleast_1d(np.asarray(self.upper, dtype=float))
-        cells = np.atleast_1d(np.asarray(self.cells_per_axis, dtype=np.int64))
+        cells = np.atleast_1d(np.asarray(self.cells_per_axis))
+        if cells.dtype.kind not in "iu":
+            raise ConfigurationError(
+                f"partition: cells_per_axis entries must be integers, got {cells.dtype}"
+            )
+        cells = cells.astype(np.int64)
         if lower.ndim != 1 or lower.shape != upper.shape or lower.shape != cells.shape:
             raise ConfigurationError(
                 "partition: lower, upper and cells_per_axis must be 1-d and equal length"
@@ -257,29 +260,25 @@ class ObservableVector:
         object.__setattr__(self, "values", vals)
 
 
-class SparseCounts(NamedTuple):
-    """Nonzero counts of an Ulam matrix, row-major with ascending columns."""
-
-    rows: np.ndarray
-    cols: np.ndarray
-    hits: np.ndarray
-
-
 @dataclass(frozen=True, eq=False, init=False)
 class UlamMatrix:
     """Row-substochastic cell transition matrix with per-row leakage.
 
-    The matrix is stored in compressed sparse row form: nonzero ``k`` says
-    that ``hits[k]`` of the ``samples_per_cell`` sample points of cell
-    ``rows[k]`` landed in cell ``cols[k]``, and ``values[k]`` is that
-    fraction.  Nonzeros are row-major with ascending columns.  ``escaped[i]``
-    counts the cell-``i`` samples that left the box, so a row's hits plus
-    its ``escaped`` equal ``samples_per_cell`` exactly in integer
-    arithmetic; ``leakage`` is the escaped fraction.
+    Built from a destination table: ``destinations[i, s]`` is the cell that
+    sample ``s`` of cell ``i`` reached, or -1 if it left the box.  A table
+    that is not integer, of shape ``(M, S)`` with ``S >= 1`` and entries in
+    ``-1 .. M - 1``, or a ``leak_tol`` outside [0, 1], raises
+    ``ConfigurationError``.  If the worst row's escaped fraction exceeds
+    ``leak_tol``, ``DomainEscapeError`` names that cell with
+    ``escape_message`` formatted from ``cell``, ``leak`` and ``tol``.
 
-    ``counts`` is either a dense ``(M, M)`` integer array or a
-    :class:`SparseCounts` triple.  The dense views :attr:`counts` and
-    :attr:`entries` are rebuilt on every access and meant for small grids.
+    Nonzero ``k`` says that ``hits[k]`` of the ``samples_per_cell`` samples
+    of cell ``rows[k]`` landed in cell ``cols[k]``; ``values[k]`` is that
+    fraction.  One ``np.unique`` over the keys ``i * M + destination`` orders
+    them row-major with ascending columns.  ``escaped[i]`` counts the
+    cell-``i`` samples that left the box; ``leakage`` is that fraction.  The
+    dense views :attr:`counts` and :attr:`entries` are rebuilt on every
+    access and meant for small grids.
     """
 
     partition: Partition
@@ -298,55 +297,50 @@ class UlamMatrix:
     def __init__(
         self,
         partition,
-        counts,
-        samples_per_cell,
+        destinations,
         leak_tol=DEFAULT_LEAK_TOL,
         t0=0.0,
         t1=0.0,
         flow_id="",
+        escape_message=_LEAK_MESSAGE,
     ):
         M = partition.cell_count
-        if isinstance(counts, SparseCounts):
-            rows, cols, hits = (np.array(a, dtype=np.int64) for a in counts)
-            if not (rows.ndim == 1 and rows.shape == cols.shape == hits.shape):
-                raise ConfigurationError("ulam: sparse rows, cols and hits must be equal-length 1-d")
-            if np.any((rows < 0) | (rows >= M) | (cols < 0) | (cols >= M)):
-                raise ConfigurationError(f"ulam: a sparse cell index lies outside 0..{M - 1}")
-            if np.any(np.diff(rows * M + cols) <= 0):
-                raise ConfigurationError("ulam: sparse counts must be row-major without repeats")
-            if np.any(hits == 0):
-                raise ConfigurationError("ulam: sparse counts must not store zeros")
-        else:
-            dense = np.asarray(counts, dtype=np.int64)
-            if dense.shape != (M, M):
-                raise ConfigurationError(
-                    f"ulam: counts shape {dense.shape} does not match ({M}, {M})"
-                )
-            rows, cols = np.nonzero(dense)
-            hits = dense[rows, cols]
-        if np.any(hits < 0):
-            raise ConfigurationError("ulam: counts must be nonnegative")
-        total = int(samples_per_cell)
-        if total < 1:
-            raise ConfigurationError("ulam: samples_per_cell must be >= 1")
-        # The float sums are exact while a row total stays below 2**53.
-        row_sums = np.bincount(rows, weights=hits, minlength=M).astype(np.int64)
-        if np.any(row_sums > total):
-            raise ConfigurationError("ulam: a row exceeds samples_per_cell")
-        escaped = total - row_sums
+        dest = np.asarray(destinations)
+        if not np.issubdtype(dest.dtype, np.integer):
+            raise ConfigurationError(f"ulam: destinations must be integers, got {dest.dtype}")
+        if dest.ndim != 2 or dest.shape[0] != M or dest.shape[1] < 1:
+            raise ConfigurationError(f"ulam: destinations shape {dest.shape} is not ({M}, S >= 1)")
+        if dest.min() < -1 or dest.max() >= M:
+            raise ConfigurationError(f"ulam: a destination lies outside -1..{M - 1}")
+        if not 0 <= leak_tol <= 1:
+            raise ConfigurationError(f"leak_tol: expected a fraction in [0, 1], got {leak_tol!r}")
+        dest = dest.astype(np.int64, copy=False)
+        S = dest.shape[1]
+        inside = dest >= 0
+        escaped = S - inside.sum(axis=1)
+        worst = int(np.argmax(escaped))
+        worst_leak = escaped[worst] / S
+        if worst_leak > leak_tol:
+            raise DomainEscapeError(
+                escape_message.format(cell=worst, leak=worst_leak, tol=leak_tol),
+                cell=worst,
+                leakage=float(worst_leak),
+            )
+        keys = (np.arange(M, dtype=np.int64)[:, None] * M + dest)[inside]
+        keys, hits = np.unique(keys, return_counts=True)
         fields = {
             "partition": partition,
-            "samples_per_cell": total,
+            "samples_per_cell": S,
             "leak_tol": leak_tol,
             "t0": t0,
             "t1": t1,
             "flow_id": flow_id,
-            "rows": rows,
-            "cols": cols,
+            "rows": keys // M,
+            "cols": keys % M,
             "hits": hits,
-            "values": hits / total,
+            "values": hits / S,
             "escaped": escaped,
-            "leakage": escaped / total,
+            "leakage": escaped / S,
         }
         for name, value in fields.items():
             if isinstance(value, np.ndarray):
@@ -434,51 +428,6 @@ def _apply_point_map(point_map, points):
     return out
 
 
-def ulam_from_destinations(
-    partition,
-    dest,
-    *,
-    leak_tol,
-    escape_message,
-    t0=0.0,
-    t1=0.0,
-    flow_id="",
-):
-    """Operator counting where each cell's samples landed.
-
-    ``dest`` has shape ``(M, S)``: entry ``[i, s]`` is the cell reached by
-    sample ``s`` of cell ``i``, or -1 if it left the box.  The sparse
-    counts come from one ``np.unique`` over the keys ``i * M + dest``, which
-    sorts them row-major with ascending columns.
-
-    Raises ``DomainEscapeError`` naming the worst cell if its escaped
-    fraction exceeds ``leak_tol``; the message is ``escape_message``
-    formatted with ``cell``, ``leak`` and ``tol``.
-    """
-    M, S = dest.shape
-    inside = dest >= 0
-    escaped = S - inside.sum(axis=1)
-    worst = int(np.argmax(escaped))
-    worst_leak = escaped[worst] / S
-    if worst_leak > leak_tol:
-        raise DomainEscapeError(
-            escape_message.format(cell=worst, leak=worst_leak, tol=leak_tol),
-            cell=worst,
-            leakage=float(worst_leak),
-        )
-    keys = (np.arange(M, dtype=np.int64)[:, None] * M + dest)[inside]
-    keys, hits = np.unique(keys, return_counts=True)
-    return UlamMatrix(
-        partition,
-        SparseCounts(keys // M, keys % M, hits),
-        samples_per_cell=S,
-        leak_tol=leak_tol,
-        t0=t0,
-        t1=t1,
-        flow_id=flow_id,
-    )
-
-
 def build_ulam(
     partition,
     flow,
@@ -500,7 +449,7 @@ def build_ulam(
         Must equal ``q**d`` for an integer ``q >= 2``; each cell is probed
         on a regular ``q`` per-axis interior sub-grid.
     leak_tol : float
-        Worst-row leakage fraction accepted before the build is rejected.
+        Worst-row leakage fraction accepted, in [0, 1].
     t0, t1, flow_id : optional metadata
         Defaults are taken from the flow's ``transition``/``flow_id``
         attributes when present.
@@ -508,17 +457,13 @@ def build_ulam(
     Raises
     ------
     DomainEscapeError
-        If any row leaks more than ``leak_tol``; names the worst cell.
+        From :class:`UlamMatrix`, if any row leaks more than ``leak_tol``.
     """
     M = partition.cell_count
     q = _subgrid_order(samples_per_cell, partition.dim)
-    S = int(samples_per_cell)
-    if not 0 <= leak_tol <= 1:
-        raise ConfigurationError(f"leak_tol: expected a fraction in [0, 1], got {leak_tol!r}")
-
     points = partition.sample_points(q).reshape(-1, partition.dim)
     images = _apply_point_map(flow, points)
-    dest = partition.locate(images).reshape(M, S)
+    dest = partition.locate(images).reshape(M, int(samples_per_cell))
 
     transition = getattr(flow, "transition", None)
     if t0 is None:
@@ -527,16 +472,8 @@ def build_ulam(
         t1 = transition.t1 if transition is not None else 0.0
     if flow_id is None:
         flow_id = getattr(flow, "flow_id", "")
-    return ulam_from_destinations(
-        partition,
-        dest,
-        leak_tol=leak_tol,
-        escape_message=(
-            "cell {cell} leaks {leak:.4f} of its mass out of the domain (tolerance {tol})"
-        ),
-        t0=float(t0),
-        t1=float(t1),
-        flow_id=str(flow_id),
+    return UlamMatrix(
+        partition, dest, leak_tol=leak_tol, t0=float(t0), t1=float(t1), flow_id=str(flow_id)
     )
 
 
@@ -552,24 +489,14 @@ def apply_fp(matrix, theta, renormalize=False):
     the output density is the received mass per cell divided by the cell
     volume.  Without renormalisation, output mass equals input mass minus
     the mass leaked out of the box.  With ``renormalize=True`` the result
-    is scaled back to unit mass, which is only permitted while the leaked
-    fraction stays within the operator's ``leak_tol``.
+    is scaled back to unit mass; the leaked fraction ``leakage @ m / sum(m)``
+    is a convex mix of row leakages, so it is within the operator's
+    ``leak_tol`` too.  A push-forward of zero mass raises ``NumericalError``.
     """
     _require_same_grid(matrix, theta)
     vol = theta.partition.cell_volume
-    m = theta.values * vol
-    m_out = matrix.push(m)
+    m_out = matrix.push(theta.values * vol)
     if renormalize:
-        m_in = m.sum()
-        leaked = float(matrix.leakage @ m)
-        if m_in <= 0.0:
-            raise NumericalError("cannot renormalize a push-forward of zero mass")
-        if leaked > matrix.leak_tol * m_in:
-            raise DomainEscapeError(
-                f"push-forward leaked {leaked / m_in:.4f} of its mass, above the "
-                f"tolerance {matrix.leak_tol}; renormalisation refused",
-                leakage=float(leaked / m_in),
-            )
         total = m_out.sum()
         if total <= 0.0:
             raise NumericalError("cannot renormalize a push-forward of zero mass")

@@ -21,6 +21,16 @@ def scalar_profile(gain):
     return FeedbackProfile((FeedbackGain(1, np.array([[gain]])),))
 
 
+def destinations_from_counts(counts, samples):
+    """Destination table whose row ``i`` sends ``counts[i, j]`` samples to
+    cell ``j`` and the rest out of the box (-1)."""
+    table = np.full((len(counts), samples), -1, dtype=np.int64)
+    for i, row in enumerate(np.asarray(counts)):
+        hits = np.repeat(np.arange(len(row)), row)
+        table[i, : len(hits)] = hits
+    return table
+
+
 def two_channel_system(a=0.0):
     return MultiChannelSystem(
         A=np.array([[a]]), B=(np.array([[1.0]]), np.array([[1.0]]))

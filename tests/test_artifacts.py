@@ -126,6 +126,19 @@ def test_density_reader_requires_sidecar(tmp_path):
     sidecar_path(path).write_text('{"kind": "density"}')
     with pytest.raises(ConfigurationError, match="partition block"):
         read_density(path)
+    write_density(DensityVector.uniform(part), path)
+    meta = json.loads(sidecar_path(path).read_text())
+    for field, value, message in [
+        ("lower", "x", "partition block"),
+        ("lower", ["x"], "partition block"),
+        ("cells_per_axis", [2.5], "cells_per_axis entries must be integers"),
+        ("cells_per_axis", [4.0], "cells_per_axis entries must be integers"),
+    ]:
+        bad = json.loads(json.dumps(meta))
+        bad["partition"][field] = value
+        sidecar_path(path).write_text(json.dumps(bad))
+        with pytest.raises(ConfigurationError, match=message):
+            read_density(path)
 
 
 def test_ulam_export_is_sparse_and_annotated(tmp_path):

@@ -374,6 +374,16 @@ def test_non_finite_scenario_numbers_are_usage_errors(tmp_path, capsys, command,
     assert not out.exists()
 
 
+def test_a_step_count_past_the_float_range_is_a_usage_error(tmp_path, capsys):
+    # Both numbers are finite, but t / h overflows to inf.
+    raw = scenario_dict()
+    raw["perturb"].update({"t": 1e300, "h": 1e-300, "x0": [0.0]})
+    rc, out, _ = run(tmp_path, "perturb", raw)
+    assert rc == 2
+    assert "t / h: 1e+300 / 1e-300 is not a finite step count" in capsys.readouterr().err
+    assert not (out / "perturb_stats.csv").exists()
+
+
 def test_missing_config_file_exits_2(tmp_path, capsys):
     rc = main(["ulam", "--config", str(tmp_path / "nope.json")])
     assert rc == 2

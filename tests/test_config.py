@@ -209,6 +209,22 @@ def test_reference_density_from_file(tmp_path):
             lambda r: r["perturb"].__setitem__("h", 10**400),
             r"perturb\.h: expected a finite number",
         ),
+        (
+            lambda r: r["game"].__setitem__("stability_filter", "false"),
+            r"game\.stability_filter: expected true or false, got str",
+        ),
+        (
+            lambda r: r["game"].__setitem__("stability_filter", 1),
+            r"game\.stability_filter: expected true or false, got int",
+        ),
+        (
+            lambda r: r.__setitem__("stationary", {"cesaro": "no"}),
+            r"stationary\.cesaro: expected true or false, got str",
+        ),
+        (
+            lambda r: r.__setitem__("stationary", {"cesaro": 1}),
+            r"stationary\.cesaro: expected true or false, got int",
+        ),
     ],
 )
 def test_field_errors_carry_their_json_path(mutate, message):

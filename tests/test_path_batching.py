@@ -20,13 +20,13 @@ from entrogame import (
     SdePathConfig,
     StrategySpace,
     apply_fp,
+    UlamMatrix,
     build_stochastic_ulam,
     ensemble_endpoints,
     resilience_report,
 )
 from entrogame.game import OperatorCache, _unilateral_deviations
 from entrogame.perturb import ResilienceEntry
-from entrogame.transfer import ulam_from_destinations
 from conftest import (
     line_partition,
     scalar_profile,
@@ -80,9 +80,7 @@ def per_cell_matrix(partition, system, profile, noise, eps, t, path_cfg):
             system, profile, noise, eps, corner + offsets, h, n_steps, path_cfg.seed, i
         )
         dest[i] = partition.locate(ends)
-    return ulam_from_destinations(
-        partition, dest, leak_tol=1.0, escape_message="", t0=0.0, t1=float(t)
-    )
+    return UlamMatrix(partition, dest, leak_tol=1.0, t0=0.0, t1=float(t))
 
 
 def random_case(rng):

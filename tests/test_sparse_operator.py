@@ -1,4 +1,5 @@
-"""The sparse Ulam operator against its dense reference construction."""
+"""The sparse Ulam operator against its dense reference construction, and
+the one constructor that turns a destination table into an operator."""
 
 import tempfile
 import tracemalloc
@@ -12,16 +13,19 @@ from hypothesis import strategies as st
 from entrogame import (
     ConfigurationError,
     DensityVector,
+    DomainEscapeError,
+    NoiseSpec,
     ObservableVector,
     Partition,
+    SdePathConfig,
     UlamMatrix,
     apply_fp,
     apply_koopman,
+    build_stochastic_ulam,
     build_ulam,
 )
 from entrogame.artifacts import write_csv, write_ulam
-from entrogame.transfer import SparseCounts
-from conftest import line_partition
+from conftest import line_partition, scalar_profile, scalar_system
 
 
 def dense_counts(partition, images, samples):
@@ -109,34 +113,108 @@ def test_build_and_push_on_65536_cells_allocate_no_dense_matrix():
     assert P.hits.sum() == 16 * part.cell_count
 
 
-def test_sparse_and_dense_constructors_agree():
+def test_destination_table_counts_every_sample():
     part = line_partition(3)
-    dense = np.array([[2, 0, 1], [0, 0, 0], [1, 1, 0]], dtype=np.int64)
-    a = UlamMatrix(part, dense, samples_per_cell=4)
-    b = UlamMatrix(
-        part, SparseCounts([0, 0, 2, 2], [0, 2, 0, 1], [2, 1, 1, 1]), samples_per_cell=4
-    )
-    for name in ("rows", "cols", "hits", "values", "escaped", "leakage"):
-        assert np.array_equal(getattr(a, name), getattr(b, name)), name
-    assert np.array_equal(b.counts, dense)
-    assert np.array_equal(b.escaped, [1, 4, 2])
+    # Rows in any sample order; row 1 loses every sample, so leak_tol=1.
+    table = np.array([[2, 0, -1, 0], [-1, -1, -1, -1], [1, -1, 0, -1]])
+    P = UlamMatrix(part, table, leak_tol=1.0)
+    assert np.array_equal(P.rows, [0, 0, 2, 2])
+    assert np.array_equal(P.cols, [0, 2, 0, 1])
+    assert np.array_equal(P.hits, [2, 1, 1, 1])
+    assert np.array_equal(P.values, [0.5, 0.25, 0.25, 0.25])
+    assert np.array_equal(P.escaped, [1, 4, 2])
+    assert np.array_equal(P.leakage, [0.25, 1.0, 0.5])
+    assert P.samples_per_cell == 4
+    assert np.array_equal(P.counts, [[2, 0, 1], [0, 0, 0], [1, 1, 0]])
+    for dtype in (np.int32, np.int8):
+        Q = UlamMatrix(part, table.astype(dtype), leak_tol=1.0)
+        for name in ("rows", "cols", "hits", "values", "escaped", "leakage"):
+            assert np.array_equal(getattr(Q, name), getattr(P, name)), name
+            assert getattr(Q, name).dtype == getattr(P, name).dtype, name
+    Q = UlamMatrix(part, np.where(table < 0, 0, table).astype(np.uint16))
+    assert np.array_equal(Q.escaped, [0, 0, 0])
 
 
 @pytest.mark.parametrize(
-    "sparse, message",
+    "table, leak_tol, message",
     [
-        (SparseCounts([0, 0], [2, 0], [1, 1]), "row-major"),
-        (SparseCounts([1, 1], [0, 0], [1, 1]), "row-major"),
-        (SparseCounts([0], [3], [1]), "outside"),
-        (SparseCounts([0], [1], [0]), "zeros"),
-        (SparseCounts([0], [1], [-1]), "nonnegative"),
-        (SparseCounts([0, 1], [1], [1]), "equal-length"),
-        (SparseCounts([0, 0], [0, 1], [3, 2]), "exceeds"),
+        (np.zeros((3, 4)), 0.05, "integers, got float64"),
+        (np.zeros((3, 4), dtype=bool), 0.05, "integers, got bool"),
+        (np.zeros(12, dtype=np.int64), 0.05, r"shape \(12,\) is not \(3, S >= 1\)"),
+        (np.zeros((2, 4), dtype=np.int64), 0.05, r"shape \(2, 4\) is not \(3, S >= 1\)"),
+        (np.zeros((3, 0), dtype=np.int64), 0.05, r"shape \(3, 0\) is not \(3, S >= 1\)"),
+        (np.full((3, 4), -2), 0.05, r"outside -1\.\.2"),
+        (np.full((3, 4), 3), 0.05, r"outside -1\.\.2"),
+        (np.zeros((3, 4), dtype=np.int64), 1.5, r"leak_tol: expected a fraction"),
+        (np.zeros((3, 4), dtype=np.int64), -0.1, r"leak_tol: expected a fraction"),
+        (np.zeros((3, 4), dtype=np.int64), float("nan"), r"leak_tol: expected a fraction"),
+    ],
+    ids=[
+        "float table", "bool table", "one-dimensional", "too few rows", "no samples",
+        "entry below -1", "entry past the last cell", "tolerance above 1",
+        "negative tolerance", "nan tolerance",
     ],
 )
-def test_sparse_counts_are_validated(sparse, message):
+def test_destination_tables_are_validated(table, leak_tol, message):
     with pytest.raises(ConfigurationError, match=message):
-        UlamMatrix(line_partition(3), sparse, samples_per_cell=4)
+        UlamMatrix(line_partition(3), table, leak_tol=leak_tol)
+
+
+def test_leak_gate_names_the_worst_cell_in_each_builders_text():
+    part = line_partition(4, 0.0, 1.0)
+    table = np.array([[0, 1, 2, 3], [0, -1, 1, 1], [-1, -1, 2, -1], [-1, 3, -1, 3]])
+    with pytest.raises(DomainEscapeError) as err:
+        UlamMatrix(part, table, leak_tol=0.25)
+    # Rows 1, 2 and 3 leak 1/4, 3/4 and 1/2; the worst row is named.
+    assert (err.value.cell, err.value.leakage) == (2, 0.75)
+    assert str(err.value) == (
+        "cell 2 leaks 0.7500 of its mass out of the domain (tolerance 0.25)"
+    )
+    # Exactly at the tolerance is accepted.
+    assert UlamMatrix(part, table, leak_tol=0.75).leakage.max() == 0.75
+
+    with pytest.raises(DomainEscapeError) as err:
+        build_ulam(part, lambda pts: pts + 0.6, 4)
+    assert str(err.value) == (
+        "cell 2 leaks 1.0000 of its mass out of the domain (tolerance 0.05)"
+    )
+
+    system, profile = scalar_system(), scalar_profile(-1.0)
+    noise = NoiseSpec(np.array([[1.0]]), (5.0,))
+    cfg = SdePathConfig(h=0.1, n_steps=1, n_paths=100, seed=3)
+    part = line_partition(16)
+    loose = build_stochastic_ulam(part, system, profile, noise, 5.0, 1.0, cfg, leak_tol=1.0)
+    worst = int(np.argmax(loose.escaped))
+    with pytest.raises(DomainEscapeError) as err:
+        build_stochastic_ulam(part, system, profile, noise, 5.0, 1.0, cfg)
+    assert (err.value.cell, err.value.leakage) == (worst, loose.leakage[worst])
+    assert str(err.value) == (
+        f"cell {worst} lost {loose.leakage[worst]:.4f} of its paths past the domain "
+        "(tolerance 0.05)"
+    )
+    with pytest.raises(ConfigurationError, match="leak_tol"):
+        build_stochastic_ulam(part, system, profile, noise, 5.0, 1.0, cfg, leak_tol=1.5)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_mass_weighted_leakage_of_an_accepted_table_stays_within_tolerance(seed):
+    rng = np.random.default_rng(seed)
+    M, S = (int(n) for n in rng.integers(1, 9, size=2))
+    table = rng.integers(-1, M, size=(M, S))
+    table[rng.random((M, S)) < rng.random()] = -1
+    worst = float(np.max((table < 0).sum(axis=1)) / S)
+    leak_tol = worst + (1.0 - worst) * rng.random() * rng.integers(0, 2)
+    part = line_partition(M)
+    P = UlamMatrix(part, table, leak_tol=leak_tol)
+    theta = DensityVector(part, rng.random(M) * (rng.random(M) < 0.7))
+    m = theta.values * part.cell_volume
+    # A convex mix of row leakages, each at most leak_tol; the sum of M
+    # products may round up by a few ulps.
+    assert P.leakage @ m <= leak_tol * m.sum() * (1 + 2 * M * np.finfo(float).eps)
+    if m.sum() > 0 and P.push(m).sum() > 0:
+        pushed = apply_fp(P, theta, renormalize=True)
+        assert pushed.mass == pytest.approx(1.0, abs=1e-12)
 
 
 def test_point_map_errors_other_than_batch_rejection_propagate():

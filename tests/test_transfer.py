@@ -22,7 +22,13 @@ from entrogame import (
     l1_distance,
     stationary_density,
 )
-from conftest import line_partition, scalar_profile, scalar_system, tilted_density
+from conftest import (
+    destinations_from_counts,
+    line_partition,
+    scalar_profile,
+    scalar_system,
+    tilted_density,
+)
 
 
 # ---------------------------------------------------------------- partition
@@ -162,8 +168,8 @@ def test_point_map_fallback_for_scalar_only_flows():
 # ------------------------------------------------------------- dual action
 
 def reversal_matrix(part, samples=8):
-    counts = samples * np.eye(part.cell_count, dtype=np.int64)[::-1]
-    return UlamMatrix(part, counts, samples_per_cell=samples)
+    M = part.cell_count
+    return UlamMatrix(part, np.repeat(np.arange(M)[::-1, None], samples, axis=1))
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -172,7 +178,7 @@ def test_adjointness_of_the_two_actions(seed):
     rng = np.random.default_rng(seed)
     part = line_partition(16)
     counts = rng.multinomial(8, np.full(16, 1 / 16), size=16).astype(np.int64)
-    P = UlamMatrix(part, counts, samples_per_cell=8)
+    P = UlamMatrix(part, destinations_from_counts(counts, 8))
     theta = DensityVector(part, rng.uniform(0.1, 2.0, 16))
     zeta = ObservableVector(rng.normal(0, 1, 16))
     assert adjoint_residual(P, theta, zeta) <= 1e-12
@@ -185,16 +191,11 @@ def test_push_forward_mass_bookkeeping():
     pushed = apply_fp(P, theta)
     # Row 0 transmits 3/4 of its half of the mass, row 1 loses everything.
     assert pushed.mass == pytest.approx(0.375, abs=1e-12)
-    # Renormalisation against the matrix's own tolerance: a hand-built
-    # matrix with a leaky row and a tight budget refuses the rescale.
-    leaky = UlamMatrix(
-        part,
-        np.array([[4, 0], [0, 2]], dtype=np.int64),
-        samples_per_cell=4,
-        leak_tol=0.05,
-    )
-    with pytest.raises(DomainEscapeError, match="renormalisation refused"):
-        apply_fp(leaky, theta, renormalize=True)
+    # A leaky row is refused when the operator is built, so no push-forward
+    # of an operator can leak more than its tolerance.
+    with pytest.raises(DomainEscapeError, match="cell 1 leaks 0.5000") as err:
+        UlamMatrix(part, np.array([[0, 0, 0, 0], [1, 1, -1, -1]]), leak_tol=0.05)
+    assert (err.value.cell, err.value.leakage) == (1, 0.5)
 
 
 def test_push_forward_renormalized_within_tolerance():
@@ -217,7 +218,7 @@ def test_apply_fp_positivity_and_linearity():
     rng = np.random.default_rng(3)
     part = line_partition(16)
     counts = rng.multinomial(16, np.full(16, 1 / 16), size=16).astype(np.int64)
-    P = UlamMatrix(part, counts, samples_per_cell=16)
+    P = UlamMatrix(part, destinations_from_counts(counts, 16))
     a = DensityVector(part, rng.uniform(0, 1, 16))
     b = DensityVector(part, rng.uniform(0, 1, 16))
     mixed = DensityVector(part, 0.3 * a.values + 0.7 * b.values)
