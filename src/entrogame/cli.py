@@ -13,14 +13,12 @@ import functools
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .artifacts import read_density, write_csv, write_density, write_json, write_ulam
 from .config import load_scenario
 from .errors import ConfigurationError, NumericalError
 from .game import OperatorCache, entropy_decay_trace, find_equilibrium, verify_equilibrium
-from .perturb import PATH_SCHEME, ensemble_sweep, resilience_report
+from .perturb import PATH_SCHEME, _check_kl_floor, ensemble_sweep, resilience_report
 from .system import flow_map
 from .transfer import build_ulam, stationary_density
 
@@ -337,8 +335,7 @@ def main(argv=None):
         scenario = load_scenario(args.config)
         if args.threads is None or args.threads < 1:
             raise ConfigurationError(f"--threads: must be >= 1, got {args.threads!r}")
-        if args.kl_floor is not None and not (np.isfinite(args.kl_floor) and args.kl_floor > 0):
-            raise ConfigurationError(f"--kl-floor: must be finite and > 0, got {args.kl_floor!r}")
+        _check_kl_floor(args.kl_floor, "--kl-floor")
         out = _out_dir(scenario, args)
         prov = _provenance(scenario, args)
         return _COMMANDS[args.command](scenario, args, out, prov)

@@ -1,21 +1,28 @@
 """Scenario files: one JSON document drives every subcommand.
 
-Validation errors carry the JSON path of the offending field, e.g.
-``game.time_grid[2]: must be increasing``.
+The parser checks JSON types, JSON paths and the dimensions shared across
+blocks.  Value rules live in the model classes it builds (``Partition``,
+``StrategySpace``, ``NoiseSpec``, ``SdePathConfig`` and the game's
+``_checked_grid``), whose errors it re-raises under the block's prefix, so
+every error carries the JSON path of the offending field, e.g.
+``game.time_grid[2]: must be increasing``.  The whole file is checked at
+load, whichever subcommand runs.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .game import GameConfig, StrategySpace
+from .game import GameConfig, StrategySpace, _checked_grid
 from .perturb import NoiseSpec, SdePathConfig, _step_count
 from .system import FeedbackGain, FeedbackProfile, MultiChannelSystem, ScheduleSegment
 from .transfer import DensityVector, Partition
@@ -36,8 +43,21 @@ def _require(mapping, key, path, kind=None):
     return value
 
 
-def _optional(mapping, key, default=None):
-    return mapping.get(key, default)
+def _optional_block(raw, key):
+    """A top-level block that may be absent or null, as a dict."""
+    if raw.get(key) is None:
+        return {}
+    return _require(raw, key, "scenario", dict)
+
+
+@contextmanager
+def _block(prefix):
+    """Re-raise a model class's ``ConfigurationError`` under its JSON block."""
+    try:
+        yield
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{prefix}.{exc}") from None
+
 
 def _number(value, path):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -114,8 +134,7 @@ class ScenarioConfig:
         return self.perturb
 
     def reference_density(self):
-        game = self.game or {}
-        spec = game.get("reference", "uniform")
+        spec = (self.game or {}).get("reference", "uniform")
         if spec == "uniform":
             return DensityVector.uniform(self.partition)
         from .artifacts import read_density
@@ -142,23 +161,17 @@ class ScenarioConfig:
         )
 
     def strategy_space(self):
-        game = self.require_game()
-        if game["candidates"] is None:
+        space = self.require_game()["space"]
+        if space is None:
             raise ConfigurationError("game.candidates: missing required field")
-        return StrategySpace(game["candidates"], stability_filter=game["stability_filter"])
+        return space
 
     def noise_spec(self):
-        p = self.require_perturb()
-        return NoiseSpec(p["sigma"], p["epsilon_list"])
+        return self.require_perturb()["noise"]
 
     def path_config(self, seed_override=None):
-        p = self.require_perturb()
-        return SdePathConfig(
-            h=p["h"],
-            n_steps=_step_count(p["t"], p["h"]),
-            n_paths=p["n_paths"],
-            seed=p["seed"] if seed_override is None else seed_override,
-        )
+        path = self.require_perturb()["path"]
+        return path if seed_override is None else dataclasses.replace(path, seed=seed_override)
 
 
 def _parse_system(block):
@@ -189,7 +202,7 @@ def _parse_system(block):
         gains.append(FeedbackGain(j + 1, L))
 
     schedule = []
-    for k, seg in enumerate(_optional(block, "schedule", []) or []):
+    for k, seg in enumerate(block.get("schedule", []) or []):
         path = f"system.schedule[{k}]"
         if not isinstance(seg, dict):
             raise ConfigurationError(f"{path}: expected an object")
@@ -210,32 +223,16 @@ def _parse_domain(block):
     upper = _vector(_require(block, "upper", "domain"), "domain.upper")
     cells = _require(block, "cells_per_axis", "domain", list)
     cells = [_int(c, f"domain.cells_per_axis[{i}]") for i, c in enumerate(cells)]
-    if len(lower) != len(upper) or len(lower) != len(cells):
-        raise ConfigurationError(
-            "domain.lower: lower, upper and cells_per_axis must have equal length"
-        )
-    if not np.all(lower < upper):
-        bad = int(np.argmax(~(lower < upper)))
-        raise ConfigurationError(
-            f"domain.lower[{bad}]: must be strictly below domain.upper[{bad}]"
-        )
-    leak_tol = _number(_optional(block, "leak_tol", 0.05), "domain.leak_tol")
+    leak_tol = _number(block.get("leak_tol", 0.05), "domain.leak_tol")
     if not 0 <= leak_tol <= 1:
         raise ConfigurationError(f"domain.leak_tol: expected a fraction in [0, 1], got {leak_tol}")
-    return Partition(lower, upper, np.array(cells)), leak_tol
+    with _block("domain"):
+        return Partition(lower, upper, np.array(cells, dtype=np.int64)), leak_tol
 
 
 def _parse_game(block, n_channels):
     grid = _require(block, "time_grid", "game", list)
     grid = [_number(t, f"game.time_grid[{i}]") for i, t in enumerate(grid)]
-    if not grid:
-        raise ConfigurationError("game.time_grid: must be non-empty")
-    if grid[0] <= 0:
-        raise ConfigurationError("game.time_grid[0]: first evaluation time must be > 0")
-    for i in range(1, len(grid)):
-        if not grid[i] > grid[i - 1]:
-            raise ConfigurationError(f"game.time_grid[{i}]: must be increasing")
-
     candidates = None
     if "candidates" in block:
         raw = _require(block, "candidates", "game", list)
@@ -245,39 +242,32 @@ def _parse_game(block, n_channels):
             )
         candidates = []
         for j, cand_list in enumerate(raw):
-            if not isinstance(cand_list, list) or not cand_list:
-                raise ConfigurationError(
-                    f"game.candidates[{j}]: expected a non-empty list of gain matrices"
-                )
-            candidates.append(
-                tuple(
-                    _matrix(L, f"game.candidates[{j}][{k}]")
-                    for k, L in enumerate(cand_list)
-                )
-            )
-        candidates = tuple(candidates)
+            path = f"game.candidates[{j}]"
+            if not isinstance(cand_list, list):
+                raise ConfigurationError(f"{path}: expected a list of gain matrices")
+            candidates.append([_matrix(L, f"{path}[{k}]") for k, L in enumerate(cand_list)])
 
-    tol = _number(_optional(block, "tol", 1e-9), "game.tol")
-    if tol <= 0:
-        raise ConfigurationError(f"game.tol: must be positive, got {tol}")
-    max_rounds = _int(_optional(block, "max_rounds", 20), "game.max_rounds")
-    if max_rounds < 1:
-        raise ConfigurationError(f"game.max_rounds: must be >= 1, got {max_rounds}")
-    reference = _optional(block, "reference", "uniform")
+    tol = _number(block.get("tol", 1e-9), "game.tol")
+    max_rounds = _int(block.get("max_rounds", 20), "game.max_rounds")
+    reference = block.get("reference", "uniform")
     if not isinstance(reference, str):
         raise ConfigurationError("game.reference: expected 'uniform' or a density CSV path")
-    trace = _optional(block, "trace_densities", []) or []
+    trace = block.get("trace_densities", []) or []
     if not isinstance(trace, list) or not all(isinstance(p, str) for p in trace):
         raise ConfigurationError("game.trace_densities: expected a list of CSV paths")
-    stability_filter = _bool(_optional(block, "stability_filter", False), "game.stability_filter")
+    stability_filter = _bool(block.get("stability_filter", False), "game.stability_filter")
+    with _block("game"):
+        grid = _checked_grid(grid, tol, max_rounds)
+        space = None if candidates is None else StrategySpace(
+            candidates, stability_filter=stability_filter
+        )
     return {
-        "time_grid": tuple(grid),
-        "candidates": candidates,
+        "time_grid": grid,
+        "space": space,
         "tol": tol,
         "max_rounds": max_rounds,
         "reference": reference,
         "trace_densities": tuple(trace),
-        "stability_filter": stability_filter,
     }
 
 
@@ -289,39 +279,25 @@ def _parse_perturb(block, dim):
         )
     eps = _require(block, "epsilon_list", "perturb", list)
     eps = [_number(e, f"perturb.epsilon_list[{i}]") for i, e in enumerate(eps)]
-    for i, e in enumerate(eps):
-        if e < 0:
-            raise ConfigurationError(f"perturb.epsilon_list[{i}]: must be >= 0")
-        if i > 0 and not e < eps[i - 1]:
-            raise ConfigurationError(
-                f"perturb.epsilon_list[{i}]: must be strictly decreasing"
-            )
     h = _number(_require(block, "h", "perturb"), "perturb.h")
-    if h <= 0:
-        raise ConfigurationError(f"perturb.h: step size must be positive, got {h}")
     n_paths = _int(_require(block, "n_paths", "perturb"), "perturb.n_paths")
     seed = _int(_require(block, "seed", "perturb"), "perturb.seed")
-    if seed < 0:
-        raise ConfigurationError(f"perturb.seed: must be >= 0, got {seed}")
-    t = _number(_optional(block, "t", 1.0), "perturb.t")
+    t = _number(block.get("t", 1.0), "perturb.t")
     if t <= 0:
         raise ConfigurationError(f"perturb.t: horizon must be positive, got {t}")
-    x0 = _optional(block, "x0")
+    x0 = block.get("x0")
     if x0 is not None:
         x0 = _vector(x0, "perturb.x0")
         if x0.shape[0] != dim:
             raise ConfigurationError(
                 f"perturb.x0: expected {dim} components, got {x0.shape[0]}"
             )
-    return {
-        "sigma": sigma,
-        "epsilon_list": tuple(eps),
-        "h": h,
-        "n_paths": n_paths,
-        "seed": seed,
-        "t": t,
-        "x0": x0,
-    }
+    with _block("perturb"):
+        noise = NoiseSpec(sigma, eps)
+        # t / h is formed only for h > 0; SdePathConfig words the refusal of any other h.
+        n_steps = _step_count(t, h) if h > 0 else 1
+        path = SdePathConfig(h=h, n_steps=n_steps, n_paths=n_paths, seed=seed)
+    return {"noise": noise, "path": path, "x0": x0}
 
 
 def parse_scenario(raw, config_sha256=""):
@@ -337,19 +313,17 @@ def parse_scenario(raw, config_sha256=""):
 
     ulam = _require(raw, "ulam", "scenario", dict)
     samples = _int(_require(ulam, "samples_per_cell", "ulam"), "ulam.samples_per_cell")
-    t_step = _number(_optional(ulam, "t_step", 1.0), "ulam.t_step")
+    t_step = _number(ulam.get("t_step", 1.0), "ulam.t_step")
     if t_step <= 0:
         raise ConfigurationError(f"ulam.t_step: must be positive, got {t_step}")
-    integration_steps = _int(
-        _optional(ulam, "integration_steps", 200), "ulam.integration_steps"
-    )
+    integration_steps = _int(ulam.get("integration_steps", 200), "ulam.integration_steps")
     if integration_steps < 1:
         raise ConfigurationError("ulam.integration_steps: must be >= 1")
 
-    stationary = _optional(raw, "stationary", {}) or {}
-    st_tol = _number(_optional(stationary, "tol", 1e-10), "stationary.tol")
-    st_max = _int(_optional(stationary, "max_iter", 5000), "stationary.max_iter")
-    st_cesaro = _bool(_optional(stationary, "cesaro", False), "stationary.cesaro")
+    stationary = _optional_block(raw, "stationary")
+    st_tol = _number(stationary.get("tol", 1e-10), "stationary.tol")
+    st_max = _int(stationary.get("max_iter", 5000), "stationary.max_iter")
+    st_cesaro = _bool(stationary.get("cesaro", False), "stationary.cesaro")
 
     game = None
     if "game" in raw:
@@ -358,8 +332,7 @@ def parse_scenario(raw, config_sha256=""):
     if "perturb" in raw:
         perturb = _parse_perturb(_require(raw, "perturb", "scenario", dict), system.dim)
 
-    output = _optional(raw, "output", {}) or {}
-    out_dir = _optional(output, "directory", "out")
+    out_dir = _optional_block(raw, "output").get("directory", "out")
     if not isinstance(out_dir, str):
         raise ConfigurationError("output.directory: expected a string path")
 

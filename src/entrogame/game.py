@@ -137,20 +137,29 @@ class GameConfig:
     stationary_max_iter: int = 5000
 
     def __post_init__(self):
-        grid = tuple(float(t) for t in self.time_grid)
-        if not grid:
-            raise ConfigurationError("time_grid: must be non-empty")
-        if grid[0] <= 0.0:
-            raise ConfigurationError("time_grid[0]: first evaluation time must be > 0")
-        for k in range(1, len(grid)):
-            if not grid[k] > grid[k - 1]:
-                raise ConfigurationError(f"time_grid[{k}]: must be increasing")
+        grid = _checked_grid(self.time_grid, self.tol, self.max_rounds)
         object.__setattr__(self, "time_grid", grid)
-        if self.tol <= 0:
-            raise ConfigurationError(f"tol: must be positive, got {self.tol!r}")
-        if self.max_rounds < 1:
-            raise ConfigurationError(f"max_rounds: must be >= 1, got {self.max_rounds!r}")
         self.theta_ref.require_unit_mass()
+
+
+def _checked_grid(time_grid, tol, max_rounds, name="time_grid"):
+    """``time_grid`` as floats, after the one check of the game settings
+    (grid, ``tol``, ``max_rounds``) that :class:`GameConfig`, the scenario
+    parser and :func:`entropy_decay_trace` share; errors call the grid ``name``.
+    """
+    grid = tuple(float(t) for t in time_grid)
+    if not grid:
+        raise ConfigurationError(f"{name}: must be non-empty")
+    if grid[0] <= 0.0:
+        raise ConfigurationError(f"{name}[0]: first evaluation time must be > 0")
+    for k in range(1, len(grid)):
+        if not grid[k] > grid[k - 1]:
+            raise ConfigurationError(f"{name}[{k}]: must be increasing")
+    if tol <= 0:
+        raise ConfigurationError(f"tol: must be positive, got {tol!r}")
+    if max_rounds < 1:
+        raise ConfigurationError(f"max_rounds: must be >= 1, got {max_rounds!r}")
+    return grid
 
 
 class OperatorCache:
@@ -242,8 +251,13 @@ class OperatorCache:
         return self._scores[key][1]
 
 
-def _run_cache(system, cfg, cache):
-    """``cache`` after checking its binding, or a new cache when it is None."""
+def _run_cache(system, cfg, cache, space=None):
+    """``cache`` after checking its binding, or a new cache when it is None;
+    ``space``, when given, must have the system's channel count."""
+    if space is not None and space.n_channels != system.n_channels:
+        raise ConfigurationError(
+            f"space: {space.n_channels} channels for a {system.n_channels}-channel system"
+        )
     if cache is None:
         return OperatorCache(system, cfg)
     if cache.system is not system or cache.cfg is not cfg:
@@ -274,6 +288,17 @@ def _is_hurwitz(system, profile):
     return bool(np.all(np.linalg.eigvals(M).real < 0.0))
 
 
+def _screened_criterion(system, profile, space, cfg, cache):
+    """``(criterion, None)``, or ``(None, reason)`` for a profile that fails
+    the stability filter of ``space`` or leaks; ``equilibrium.json`` keeps the text."""
+    if space.stability_filter and not _is_hurwitz(system, profile):
+        return None, "stability filter"
+    try:
+        return criterion(system, profile, cfg, cache), None
+    except DomainEscapeError as exc:
+        return None, f"leakage: {exc}"
+
+
 def _unilateral_deviations(profile, space):
     """``(channel, candidate index, profile)`` of every unilateral deviation.
 
@@ -295,14 +320,11 @@ def _best_response_index(system, profile, channel, space, cfg, cache):
     best_obj = None
     rejections = []
     for k, L in enumerate(space.candidates[channel - 1]):
-        cand_profile = profile.replaced(channel, L)
-        if space.stability_filter and not _is_hurwitz(system, cand_profile):
-            rejections.append((k, "stability filter"))
-            continue
-        try:
-            vec = criterion(system, cand_profile, cfg, cache)
-        except DomainEscapeError as exc:
-            rejections.append((k, f"leakage: {exc}"))
+        vec, why = _screened_criterion(
+            system, profile.replaced(channel, L), space, cfg, cache
+        )
+        if why is not None:
+            rejections.append((k, why))
             continue
         obj = float(np.max(vec))
         if best_obj is None or obj < best_obj:
@@ -380,11 +402,7 @@ def find_equilibrium(system, space, cfg, initial_profile, cache=None):
     operators and stationary solve; a new one is made when it is None.  A
     cache bound to another system or config raises ``ConfigurationError``.
     """
-    if space.n_channels != system.n_channels:
-        raise ConfigurationError(
-            f"space: {space.n_channels} channels for a {system.n_channels}-channel system"
-        )
-    cache = _run_cache(system, cfg, cache)
+    cache = _run_cache(system, cfg, cache, space)
     indices = _match_initial_indices(space, initial_profile)
     profile = space.profile(indices)
     history = [tuple(indices)]
@@ -472,11 +490,7 @@ def verify_equilibrium(system, profile, space, cfg, extra_densities=(), cache=No
     is the same as with a new cache.  A cache bound to another system or
     config raises ``ConfigurationError``.
     """
-    if space.n_channels != system.n_channels:
-        raise ConfigurationError(
-            f"space: {space.n_channels} channels for a {system.n_channels}-channel system"
-        )
-    cache = _run_cache(system, cfg, cache)
+    cache = _run_cache(system, cfg, cache, space)
     densities = [cfg.theta_ref] + list(extra_densities)
     for theta in densities:
         if not theta.partition.matches(cfg.theta_ref.partition):
@@ -486,29 +500,29 @@ def verify_equilibrium(system, profile, space, cfg, extra_densities=(), cache=No
     theta_star = cache.stationary(profile, cfg.time_grid[-1]).density
     h_star = entropy(theta_star).value
 
+    # A leak does not depend on the density, so the reference screens every
+    # deviation once.
     rejected = []
+    admitted = []
+    for j, k, cand_profile in _unilateral_deviations(profile, space):
+        why = _screened_criterion(system, cand_profile, space, cfg, cache)[1]
+        if why is None:
+            admitted.append(cand_profile)
+        else:
+            rejected.append((j, k, why))
+    # Stability rejections come first, each kind in deviation order.
+    rejected.sort(key=lambda r: r[2] != "stability filter")
+
     per_density = []
     worst1 = -np.inf
     worst2 = -np.inf
     worst3 = -np.inf
-    deviation_profiles = []
-    for j, k, cand_profile in _unilateral_deviations(profile, space):
-        if space.stability_filter and not _is_hurwitz(system, cand_profile):
-            rejected.append((j, k, "stability filter"))
-            continue
-        deviation_profiles.append((j, k, cand_profile))
-
     for idx, theta in enumerate(densities):
         eq_pushed, eq_vals, eq_ents = cache.scores(profile, theta)
         margin1 = -np.inf
         margin3 = float(np.max(eq_ents) - h_star)
-        for j, k, cand_profile in deviation_profiles:
-            try:
-                _, dev_vals, dev_ents = cache.scores(cand_profile, theta)
-            except DomainEscapeError as exc:
-                if idx == 0:
-                    rejected.append((j, k, f"leakage: {exc}"))
-                continue
+        for cand_profile in admitted:
+            _, dev_vals, dev_ents = cache.scores(cand_profile, theta)
             margin1 = max(margin1, float(np.max(eq_vals - dev_vals)))
             margin3 = max(margin3, float(np.max(dev_ents) - h_star))
         dists = [l1_distance(p, theta_star) for p in eq_pushed]
@@ -667,11 +681,7 @@ def entropy_decay_trace(system, profile, theta_list, t_grid, cfg):
     have a finite trace and are skipped with a warning; the skip list
     records ``(index, offending mass)``.
     """
-    grid = tuple(float(t) for t in t_grid)
-    if not grid or grid[0] <= 0.0 or any(
-        grid[k] <= grid[k - 1] for k in range(1, len(grid))
-    ):
-        raise ConfigurationError("t_grid: must be strictly increasing with first entry > 0")
+    grid = _checked_grid(t_grid, cfg.tol, cfg.max_rounds, name="t_grid")
     cache = OperatorCache(system, cfg)
     theta_star = cache.stationary(profile, grid[-1]).density
     h_star = entropy(theta_star).value

@@ -193,6 +193,13 @@ def _plan(system, profile, noise, eps, d, h, n_steps):
         )
     if eps < 0:
         raise ConfigurationError(f"eps: must be >= 0, got {eps!r}")
+    # One path's noise block and step-matrix powers are n_steps * d entries
+    # or more, so a horizon past one chunk's cap is refused before any of them.
+    if n_steps * d > _CHUNK_ENTRIES:
+        raise ConfigurationError(
+            f"t / h: {n_steps * h:.6g} / {h:.6g} is {n_steps} steps; a path of "
+            f"dimension {d} may take at most {_CHUNK_ENTRIES // d}"
+        )
     segment = np.searchsorted(system.breakpoints(), np.arange(n_steps) * h, side="right")
     firsts = [0] + (np.flatnonzero(np.diff(segment)) + 1).tolist()
     runs = [
@@ -514,6 +521,12 @@ class ResilienceReport:
     deviation_entries: tuple = ()
 
 
+def _check_kl_floor(kl_floor, name="kl_floor"):
+    """Refuse a ``kl_floor`` that is set but not finite and > 0; errors say ``name``."""
+    if kl_floor is not None and not (np.isfinite(kl_floor) and kl_floor > 0):
+        raise ConfigurationError(f"{name}: must be finite and > 0, got {kl_floor!r}")
+
+
 def _kl_with_floor(pushed, reference, floor):
     """KL divergence with a floored reference; no support requirement."""
     vol = pushed.partition.cell_volume
@@ -569,8 +582,7 @@ def resilience_report(
     """
     if with_deviations and space is None:
         raise ConfigurationError("with_deviations: a strategy space is required")
-    if kl_floor is not None and not (np.isfinite(kl_floor) and kl_floor > 0):
-        raise ConfigurationError(f"kl_floor: must be finite and > 0, got {kl_floor!r}")
+    _check_kl_floor(kl_floor)
     thetas = list(theta_list)
     if not thetas:
         raise ConfigurationError("theta_list: must contain at least one density")

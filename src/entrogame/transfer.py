@@ -91,14 +91,18 @@ class Partition:
         cells = cells.astype(np.int64)
         if lower.ndim != 1 or lower.shape != upper.shape or lower.shape != cells.shape:
             raise ConfigurationError(
-                "partition: lower, upper and cells_per_axis must be 1-d and equal length"
+                "lower: lower, upper and cells_per_axis must be 1-d and of equal length"
             )
-        if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
-            raise ConfigurationError("partition: bounds must be finite")
-        if not np.all(lower < upper):
-            raise ConfigurationError("partition: lower must be < upper componentwise")
-        if not np.all(cells >= 1):
-            raise ConfigurationError("partition: cells_per_axis entries must be >= 1")
+        # Each rule names the first axis that breaks it.
+        for name, ok, rule in (
+            ("lower", np.isfinite(lower), "must be finite"),
+            ("upper", np.isfinite(upper), "must be finite"),
+            ("lower", lower < upper, "must be strictly below upper[{k}]"),
+            ("cells_per_axis", cells >= 1, "must be >= 1"),
+        ):
+            if not ok.all():
+                k = int(np.argmin(ok))
+                raise ConfigurationError(f"{name}[{k}]: " + rule.format(k=k))
         for arr in (lower, upper, cells):
             arr.setflags(write=False)
         object.__setattr__(self, "lower", lower)

@@ -8,7 +8,15 @@ import pytest
 
 import entrogame.artifacts as artifacts_mod
 import entrogame.cli as cli_mod
-from entrogame import DensityVector
+from entrogame import (
+    ConfigurationError,
+    DensityVector,
+    GameConfig,
+    NoiseSpec,
+    Partition,
+    SdePathConfig,
+    resilience_report,
+)
 from entrogame.artifacts import read_density, write_density
 from entrogame.cli import main
 from conftest import line_partition, tilted_density
@@ -382,6 +390,67 @@ def test_a_step_count_past_the_float_range_is_a_usage_error(tmp_path, capsys):
     assert rc == 2
     assert "t / h: 1e+300 / 1e-300 is not a finite step count" in capsys.readouterr().err
     assert not (out / "perturb_stats.csv").exists()
+
+
+def test_a_horizon_past_one_chunk_is_a_usage_error(tmp_path, capsys):
+    # 1e20 steps are refused before any step-long array is allocated.
+    raw = scenario_dict()
+    raw["perturb"].update({"t": 1e10, "h": 1e-10, "x0": [0.0]})
+    rc, out, _ = run(tmp_path, "perturb", raw)
+    assert rc == 2
+    assert "t / h: 1e+10 / 1e-10 is 100000000000000000000 steps" in capsys.readouterr().err
+    assert not (out / "perturb_stats.csv").exists()
+
+
+def _game_config(**fields):
+    fields.setdefault("time_grid", (0.5, 1.0))
+    return GameConfig(theta_ref=DensityVector.uniform(line_partition(16)), samples_per_cell=4, **fields)
+
+
+def _path_config(**fields):
+    return SdePathConfig(**{"h": 0.01, "n_steps": 100, "n_paths": 200, "seed": 42, **fields})
+
+
+@pytest.mark.parametrize(
+    "where, value, build",
+    [
+        ("game.time_grid", [], lambda v: _game_config(time_grid=v)),
+        ("game.time_grid", [0.0, 1.0], lambda v: _game_config(time_grid=v)),
+        ("game.time_grid", [0.5, 0.5], lambda v: _game_config(time_grid=v)),
+        ("game.tol", 0.0, lambda v: _game_config(tol=v)),
+        ("game.max_rounds", 0, lambda v: _game_config(max_rounds=v)),
+        ("perturb.epsilon_list", [0.1, 0.2], lambda v: NoiseSpec([[1.0]], v)),
+        ("perturb.epsilon_list", [-0.1], lambda v: NoiseSpec([[1.0]], v)),
+        ("perturb.h", 0.0, lambda v: _path_config(h=v)),
+        ("perturb.h", -0.01, lambda v: _path_config(h=v)),
+        ("perturb.seed", -1, lambda v: _path_config(seed=v)),
+        ("perturb.n_paths", 0, lambda v: _path_config(n_paths=v)),
+        ("domain.lower", [1.0], lambda v: Partition(v, [1.0], [16])),
+        ("domain.upper", [-2.0], lambda v: Partition([-1.0], v, [16])),
+        ("domain.upper", [1.0, 2.0], lambda v: Partition([-1.0], v, [16])),
+        ("domain.cells_per_axis", [0], lambda v: Partition([-1.0], [1.0], v)),
+        ("--kl-floor", -1.0, lambda v: resilience_report(*[None] * 5, (), kl_floor=v)),
+        ("--kl-floor", float("nan"), lambda v: resilience_report(*[None] * 5, (), kl_floor=v)),
+    ],
+)
+def test_each_input_rule_reads_the_same_from_the_api_and_the_cli(
+    tmp_path, capsys, where, value, build
+):
+    # The model class words the rule; the CLI only names the JSON block or flag.
+    with pytest.raises(ConfigurationError) as api:
+        build(value)
+    if where == "--kl-floor":
+        rc, _, _ = run(tmp_path, "resilience", extra=(where, str(value)))
+        expected = str(api.value).replace("kl_floor", where, 1)
+    else:
+        raw = scenario_dict()
+        block, field = where.split(".")
+        raw[block][field] = value
+        # The whole file is checked at load, so every subcommand refuses it.
+        rc, _, _ = run(tmp_path, "ulam", raw)
+        expected = f"{block}.{api.value}"
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {expected}\n"
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):

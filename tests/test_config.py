@@ -61,7 +61,7 @@ def test_full_scenario_parses():
     assert cfg.stationary_cesaro is False
     assert cfg.game["time_grid"] == (0.5, 1.0)
     assert cfg.game["reference"] == "uniform"
-    assert cfg.perturb["epsilon_list"] == (0.1, 0.05, 0.0)
+    assert cfg.noise_spec().epsilon_list == (0.1, 0.05, 0.0)
     assert cfg.output_dir == "out"
     assert np.array_equal(cfg.profile.gain(2).L, np.array([[0.5]]))
 
@@ -225,11 +225,34 @@ def test_reference_density_from_file(tmp_path):
             lambda r: r.__setitem__("stationary", {"cesaro": 1}),
             r"stationary\.cesaro: expected true or false, got int",
         ),
+        (
+            lambda r: r.__setitem__("stationary", [1]),
+            r"scenario\.stationary: expected dict, got list",
+        ),
+        (
+            lambda r: r.__setitem__("stationary", "x"),
+            r"scenario\.stationary: expected dict, got str",
+        ),
+        (
+            lambda r: r.__setitem__("output", "out"),
+            r"scenario\.output: expected dict, got str",
+        ),
+        (lambda r: r["perturb"].__setitem__("n_paths", 0), r"perturb\.n_paths: must be >= 1"),
+        (
+            lambda r: r["perturb"].update({"t": 1e300, "h": 1e-300}),
+            r"perturb\.t / h: 1e\+300 / 1e-300 is not a finite step count",
+        ),
     ],
 )
 def test_field_errors_carry_their_json_path(mutate, message):
     with pytest.raises(ConfigurationError, match=message):
         parse_scenario(variant(mutate))
+
+
+def test_null_optional_blocks_take_their_defaults():
+    cfg = parse_scenario(variant(lambda r: r.update({"stationary": None, "output": None})))
+    assert cfg.stationary_tol == 1e-10
+    assert cfg.output_dir == "out"
 
 
 def test_dimension_cross_checks():
