@@ -19,8 +19,6 @@ from .config import load_scenario
 from .errors import ConfigurationError, NumericalError
 from .game import OperatorCache, entropy_decay_trace, find_equilibrium, verify_equilibrium
 from .perturb import PATH_SCHEME, _check_kl_floor, ensemble_sweep, resilience_report
-from .system import flow_map
-from .transfer import build_ulam, stationary_density
 
 __all__ = ["main"]
 
@@ -81,19 +79,6 @@ def _out_dir(scenario, args):
     return out
 
 
-def _deterministic_operator(scenario):
-    fm = flow_map(
-        scenario.system, scenario.profile, 0.0, scenario.t_step,
-        scenario.integration_steps,
-    )
-    return build_ulam(
-        scenario.partition,
-        fm,
-        scenario.samples_per_cell,
-        leak_tol=scenario.leak_tol,
-    )
-
-
 def _trace_densities(scenario, cfg):
     thetas = [cfg.theta_ref]
     for path in (scenario.game or {}).get("trace_densities", ()):
@@ -107,19 +92,19 @@ def _trace_densities(scenario, cfg):
 
 
 def _cmd_ulam(scenario, args, out, prov):
-    P = _deterministic_operator(scenario)
+    P = OperatorCache(scenario.system, scenario).operator(scenario.profile, scenario.t_step)
     write_ulam(P, out / "ulam.csv", provenance=prov)
     print(f"wrote {out / 'ulam.csv'}")
     return 0
 
 
 def _cmd_stationary(scenario, args, out, prov):
-    P = _deterministic_operator(scenario)
-    result = stationary_density(
-        P,
+    result = OperatorCache(scenario.system, scenario).stationary(
+        scenario.profile,
+        scenario.t_step,
         scenario.reference_density(),
-        tol=scenario.stationary_tol,
-        max_iter=scenario.stationary_max_iter,
+        scenario.stationary_tol,
+        scenario.stationary_max_iter,
         cesaro=scenario.stationary_cesaro,
     )
     write_density(result.density, out / "stationary_density.csv", provenance=prov)

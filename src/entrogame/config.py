@@ -2,9 +2,11 @@
 
 The parser checks JSON types, JSON paths and the dimensions shared across
 blocks.  Value rules live in the model classes it builds (``Partition``,
-``StrategySpace``, ``NoiseSpec``, ``SdePathConfig`` and the game's
-``_checked_grid``), whose errors it re-raises under the block's prefix, so
-every error carries the JSON path of the offending field, e.g.
+``StrategySpace``, ``NoiseSpec``, ``SdePathConfig``) and in the checks it
+shares with the code that runs (``game._checked_grid``,
+``transfer._check_leak_tol`` and ``transfer._check_iteration``).  It
+re-raises their errors under the block's prefix, so every error carries
+the JSON path of the offending field, e.g.
 ``game.time_grid[2]: must be increasing``.  The whole file is checked at
 load, whichever subcommand runs.
 """
@@ -25,7 +27,7 @@ from .errors import ConfigurationError
 from .game import GameConfig, StrategySpace, _checked_grid
 from .perturb import NoiseSpec, SdePathConfig, _step_count
 from .system import FeedbackGain, FeedbackProfile, MultiChannelSystem, ScheduleSegment
-from .transfer import DensityVector, Partition
+from .transfer import DensityVector, Partition, _check_iteration, _check_leak_tol
 
 __all__ = ["ScenarioConfig", "load_scenario", "parse_scenario"]
 
@@ -224,9 +226,8 @@ def _parse_domain(block):
     cells = _require(block, "cells_per_axis", "domain", list)
     cells = [_int(c, f"domain.cells_per_axis[{i}]") for i, c in enumerate(cells)]
     leak_tol = _number(block.get("leak_tol", 0.05), "domain.leak_tol")
-    if not 0 <= leak_tol <= 1:
-        raise ConfigurationError(f"domain.leak_tol: expected a fraction in [0, 1], got {leak_tol}")
     with _block("domain"):
+        _check_leak_tol(leak_tol)
         return Partition(lower, upper, np.array(cells, dtype=np.int64)), leak_tol
 
 
@@ -324,6 +325,8 @@ def parse_scenario(raw, config_sha256=""):
     st_tol = _number(stationary.get("tol", 1e-10), "stationary.tol")
     st_max = _int(stationary.get("max_iter", 5000), "stationary.max_iter")
     st_cesaro = _bool(stationary.get("cesaro", False), "stationary.cesaro")
+    with _block("stationary"):
+        _check_iteration(st_tol, st_max)
 
     game = None
     if "game" in raw:

@@ -38,6 +38,7 @@ from .errors import (
 from .system import FeedbackGain, FeedbackProfile, closed_loop_matrix, flow_map
 from .transfer import (
     DensityVector,
+    _check_iteration,
     apply_fp,
     build_ulam,
     invariance_check,
@@ -122,8 +123,8 @@ class GameConfig:
 
     ``time_grid`` must be strictly increasing with a positive first entry.
     ``theta_ref`` is the reference density scored by the criterion and the
-    start of the stationary solve; its partition fixes the grid for every
-    operator build.
+    start of the stationary solve; its partition, :attr:`partition`, fixes
+    the grid for every operator build.
     """
 
     time_grid: tuple
@@ -141,6 +142,10 @@ class GameConfig:
         object.__setattr__(self, "time_grid", grid)
         self.theta_ref.require_unit_mass()
 
+    @property
+    def partition(self):
+        return self.theta_ref.partition
+
 
 def _checked_grid(time_grid, tol, max_rounds, name="time_grid"):
     """``time_grid`` as floats, after the one check of the game settings
@@ -155,11 +160,12 @@ def _checked_grid(time_grid, tol, max_rounds, name="time_grid"):
     for k in range(1, len(grid)):
         if not grid[k] > grid[k - 1]:
             raise ConfigurationError(f"{name}[{k}]: must be increasing")
-    if tol <= 0:
-        raise ConfigurationError(f"tol: must be positive, got {tol!r}")
-    if max_rounds < 1:
-        raise ConfigurationError(f"max_rounds: must be >= 1, got {max_rounds!r}")
+    _check_iteration(tol, max_rounds, name="max_rounds")
     return grid
+
+
+def _build_values(cfg):
+    return (cfg.samples_per_cell, cfg.leak_tol, cfg.integration_steps)
 
 
 class OperatorCache:
@@ -168,20 +174,24 @@ class OperatorCache:
     Operators are keyed by (profile, time).  Leakage rejections are
     remembered too, so a candidate rejected at some time is not rebuilt on
     every later query, and a remembered rejection carries the message of
-    the original one.  :meth:`stationary` memoises the stationary solve of
-    an operator under the same key, and :meth:`scores` the score of a
-    profile, which all channels share because the game is identical-interest.
+    the original one.  :meth:`stationary` memoises stationary solves and
+    :meth:`scores` the score of a profile, which all channels share because
+    the game is identical-interest.
 
-    A cache is bound to one system and one :class:`GameConfig`; functions
-    that take a ``cache`` argument refuse one bound elsewhere.  Use one
-    cache per run: the CLI ``equilibrium`` subcommand hands the cache of its
+    A cache is bound to one system (by identity) and, by value, to what a
+    build needs: the partition, ``samples_per_cell``, ``leak_tol`` and
+    ``integration_steps``, read from ``cfg`` (a :class:`GameConfig` or a
+    scenario).  Functions that take a ``cache`` argument refuse one whose
+    system is another object or whose build values differ.  Use one cache
+    per run: the CLI ``equilibrium`` subcommand hands the cache of its
     search to the verification, whose unilateral deviations the search's
     last round has already built.
     """
 
     def __init__(self, system, cfg):
         self.system = system
-        self.cfg = cfg
+        self.partition = cfg.partition
+        self._build = _build_values(cfg)
         self._store = {}
         self._stationary = {}
         self._scores = {}
@@ -194,14 +204,10 @@ class OperatorCache:
             if kind == "ok":
                 return payload
             raise DomainEscapeError(payload[0], cell=payload[1], leakage=payload[2])
-        fm = flow_map(self.system, profile, 0.0, float(t), self.cfg.integration_steps)
+        samples, leak_tol, steps = self._build
+        fm = flow_map(self.system, profile, 0.0, float(t), steps)
         try:
-            P = build_ulam(
-                self.cfg.theta_ref.partition,
-                fm,
-                self.cfg.samples_per_cell,
-                leak_tol=self.cfg.leak_tol,
-            )
+            P = build_ulam(self.partition, fm, samples, leak_tol=leak_tol)
         except DomainEscapeError as exc:
             msg = f"profile {profile.hash_hex()} at t={t:.6g}: {exc}"
             self._store[key] = ("rejected", (msg, exc.cell, exc.leakage))
@@ -209,39 +215,37 @@ class OperatorCache:
         self._store[key] = ("ok", P)
         return P
 
-    def stationary(self, profile, t):
-        """Stationary solve of the operator at ``(profile, t)``, computed once.
+    def stationary(self, profile, t, theta0, tol, max_iter, cesaro=False):
+        """Stationary solve of the operator at ``(profile, t)``, computed once
+        per start density and solver settings.
 
-        Power iteration from ``cfg.theta_ref`` with ``cfg.stationary_tol``
-        and ``cfg.stationary_max_iter``.  A solve that does not converge is
-        not remembered: its ``NonConvergenceError`` propagates on every call.
+        Power iteration from ``theta0`` (see :func:`stationary_density`).
+        ``theta0`` is keyed by identity and held by the cache, so its id is
+        not reused.  A solve that does not converge is not remembered: its
+        ``NonConvergenceError`` propagates on every call.
         """
-        key = (profile.key(), float(t))
-        solve = self._stationary.get(key)
-        if solve is None:
+        key = (profile.key(), float(t), id(theta0), tol, max_iter, cesaro)
+        if key not in self._stationary:
             solve = stationary_density(
-                self.operator(profile, t),
-                self.cfg.theta_ref,
-                tol=self.cfg.stationary_tol,
-                max_iter=self.cfg.stationary_max_iter,
+                self.operator(profile, t), theta0, tol=tol, max_iter=max_iter, cesaro=cesaro
             )
-            self._stationary[key] = solve
-        return solve
+            self._stationary[key] = (theta0, solve)
+        return self._stationary[key][1]
 
-    def scores(self, profile, theta):
-        """Renormalised push-forwards of ``theta`` over ``cfg.time_grid``, once.
+    def scores(self, profile, theta, time_grid):
+        """Renormalised push-forwards of ``theta`` over ``time_grid``, once.
 
         Returns ``(pushed, rel, ent)``: the push-forwards, their relative
         entropy to ``theta`` and their entropy, as read-only arrays.
         ``theta`` is keyed by identity and held by the cache, so its id is
         not reused.  Errors propagate and are not remembered here.
         """
-        key = (profile.key(), id(theta))
+        key = (profile.key(), id(theta), tuple(time_grid))
         if key not in self._scores:
             pushed = []
-            rel = np.empty(len(self.cfg.time_grid))
-            ent = np.empty(len(self.cfg.time_grid))
-            for k, t in enumerate(self.cfg.time_grid):
+            rel = np.empty(len(time_grid))
+            ent = np.empty(len(time_grid))
+            for k, t in enumerate(time_grid):
                 pushed.append(apply_fp(self.operator(profile, t), theta, renormalize=True))
                 rel[k] = relative_entropy(pushed[k], theta)
                 ent[k] = entropy(pushed[k]).value
@@ -260,9 +264,13 @@ def _run_cache(system, cfg, cache, space=None):
         )
     if cache is None:
         return OperatorCache(system, cfg)
-    if cache.system is not system or cache.cfg is not cfg:
+    if (
+        cache.system is not system
+        or not cache.partition.matches(cfg.partition)
+        or cache._build != _build_values(cfg)
+    ):
         raise ConfigurationError(
-            "cache: built for another system or game config than the one passed"
+            "cache: built for another system or other build settings than the ones passed"
         )
     return cache
 
@@ -277,7 +285,7 @@ def criterion(system, profile, cfg, cache=None):
     profile and takes no channel.  It is read from the memo of ``cache``
     (:meth:`OperatorCache.scores`), and the returned array is read-only.
     """
-    return _run_cache(system, cfg, cache).scores(profile, cfg.theta_ref)[1]
+    return _run_cache(system, cfg, cache).scores(profile, cfg.theta_ref, cfg.time_grid)[1]
 
 
 def _is_hurwitz(system, profile):
@@ -400,7 +408,7 @@ def find_equilibrium(system, space, cfg, initial_profile, cache=None):
     ``cache`` is an :class:`OperatorCache` for ``system`` and ``cfg`` to
     build into, so that :func:`verify_equilibrium` can reuse the search's
     operators and stationary solve; a new one is made when it is None.  A
-    cache bound to another system or config raises ``ConfigurationError``.
+    cache bound to another system or build values raises ``ConfigurationError``.
     """
     cache = _run_cache(system, cfg, cache, space)
     indices = _match_initial_indices(space, initial_profile)
@@ -421,8 +429,10 @@ def find_equilibrium(system, space, cfg, initial_profile, cache=None):
             converged = True
             break
 
-    pushed, crit, ents = cache.scores(profile, cfg.theta_ref)
-    theta_star = cache.stationary(profile, cfg.time_grid[-1]).density
+    pushed, crit, ents = cache.scores(profile, cfg.theta_ref, cfg.time_grid)
+    theta_star = cache.stationary(
+        profile, cfg.time_grid[-1], cfg.theta_ref, cfg.stationary_tol, cfg.stationary_max_iter
+    ).density
     h_star = entropy(theta_star).value
 
     return EquilibriumResult(
@@ -488,16 +498,18 @@ def verify_equilibrium(system, profile, space, cfg, extra_densities=(), cache=No
     typically the one :func:`find_equilibrium` filled: operators, leakage
     rejections and the stationary solve it holds are reused, and the report
     is the same as with a new cache.  A cache bound to another system or
-    config raises ``ConfigurationError``.
+    build values raises ``ConfigurationError``.
     """
     cache = _run_cache(system, cfg, cache, space)
     densities = [cfg.theta_ref] + list(extra_densities)
     for theta in densities:
-        if not theta.partition.matches(cfg.theta_ref.partition):
+        if not theta.partition.matches(cfg.partition):
             raise ConfigurationError("extra densities must share the reference partition")
         theta.require_unit_mass()
 
-    theta_star = cache.stationary(profile, cfg.time_grid[-1]).density
+    theta_star = cache.stationary(
+        profile, cfg.time_grid[-1], cfg.theta_ref, cfg.stationary_tol, cfg.stationary_max_iter
+    ).density
     h_star = entropy(theta_star).value
 
     # A leak does not depend on the density, so the reference screens every
@@ -518,11 +530,11 @@ def verify_equilibrium(system, profile, space, cfg, extra_densities=(), cache=No
     worst2 = -np.inf
     worst3 = -np.inf
     for idx, theta in enumerate(densities):
-        eq_pushed, eq_vals, eq_ents = cache.scores(profile, theta)
+        eq_pushed, eq_vals, eq_ents = cache.scores(profile, theta, cfg.time_grid)
         margin1 = -np.inf
         margin3 = float(np.max(eq_ents) - h_star)
         for cand_profile in admitted:
-            _, dev_vals, dev_ents = cache.scores(cand_profile, theta)
+            _, dev_vals, dev_ents = cache.scores(cand_profile, theta, cfg.time_grid)
             margin1 = max(margin1, float(np.max(eq_vals - dev_vals)))
             margin3 = max(margin3, float(np.max(dev_ents) - h_star))
         dists = [l1_distance(p, theta_star) for p in eq_pushed]
@@ -683,9 +695,11 @@ def entropy_decay_trace(system, profile, theta_list, t_grid, cfg):
     """
     grid = _checked_grid(t_grid, cfg.tol, cfg.max_rounds, name="t_grid")
     cache = OperatorCache(system, cfg)
-    theta_star = cache.stationary(profile, grid[-1]).density
+    theta_star = cache.stationary(
+        profile, grid[-1], cfg.theta_ref, cfg.stationary_tol, cfg.stationary_max_iter
+    ).density
     h_star = entropy(theta_star).value
-    vol = cfg.theta_ref.partition.cell_volume
+    vol = cfg.partition.cell_volume
 
     rows = []
     skipped = []

@@ -588,7 +588,7 @@ def resilience_report(
         raise ConfigurationError("theta_list: must contain at least one density")
     for theta in thetas:
         theta.require_unit_mass()
-        if not theta.partition.matches(cfg.theta_ref.partition):
+        if not theta.partition.matches(cfg.partition):
             raise ConfigurationError("theta_list: densities must share the reference partition")
 
     cache = OperatorCache(system, cfg)
@@ -613,7 +613,7 @@ def resilience_report(
         for label, swept in profiles
     ]
     matrices = _stochastic_ulams(
-        cfg.theta_ref.partition, system, noise, [b[:3] for b in sweep], path_cfg, cfg.leak_tol
+        cfg.partition, system, noise, [b[:3] for b in sweep], path_cfg, cfg.leak_tol
     )
     entries = []
     deviation_entries = []

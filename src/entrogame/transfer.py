@@ -264,6 +264,22 @@ class ObservableVector:
         object.__setattr__(self, "values", vals)
 
 
+def _check_leak_tol(leak_tol):
+    """The one rule for a leakage tolerance, shared with the scenario parser."""
+    if not 0 <= leak_tol <= 1:
+        raise ConfigurationError(f"leak_tol: expected a fraction in [0, 1], got {leak_tol!r}")
+
+
+def _check_iteration(tol, max_iter, name="max_iter"):
+    """The one rule for a stopping tolerance and an iteration cap, shared by
+    :func:`stationary_density`, the scenario parser and the game settings;
+    errors call the cap ``name``."""
+    if not tol > 0:
+        raise ConfigurationError(f"tol: must be positive, got {tol!r}")
+    if max_iter < 1:
+        raise ConfigurationError(f"{name}: must be >= 1, got {max_iter!r}")
+
+
 @dataclass(frozen=True, eq=False, init=False)
 class UlamMatrix:
     """Row-substochastic cell transition matrix with per-row leakage.
@@ -280,9 +296,7 @@ class UlamMatrix:
     of cell ``rows[k]`` landed in cell ``cols[k]``; ``values[k]`` is that
     fraction.  One ``np.unique`` over the keys ``i * M + destination`` orders
     them row-major with ascending columns.  ``escaped[i]`` counts the
-    cell-``i`` samples that left the box; ``leakage`` is that fraction.  The
-    dense views :attr:`counts` and :attr:`entries` are rebuilt on every
-    access and meant for small grids.
+    cell-``i`` samples that left the box; ``leakage`` is that fraction.
     """
 
     partition: Partition
@@ -316,8 +330,7 @@ class UlamMatrix:
             raise ConfigurationError(f"ulam: destinations shape {dest.shape} is not ({M}, S >= 1)")
         if dest.min() < -1 or dest.max() >= M:
             raise ConfigurationError(f"ulam: a destination lies outside -1..{M - 1}")
-        if not 0 <= leak_tol <= 1:
-            raise ConfigurationError(f"leak_tol: expected a fraction in [0, 1], got {leak_tol!r}")
+        _check_leak_tol(leak_tol)
         dest = dest.astype(np.int64, copy=False)
         S = dest.shape[1]
         inside = dest >= 0
@@ -357,30 +370,15 @@ class UlamMatrix:
         M = self.partition.cell_count
         return (M, M)
 
-    @property
-    def counts(self):
-        """Dense ``(M, M)`` integer counts, built on each access."""
-        dense = np.zeros(self.shape, dtype=np.int64)
-        dense[self.rows, self.cols] = self.hits
-        dense.setflags(write=False)
-        return dense
-
-    @property
-    def entries(self):
-        """Dense ``(M, M)`` transition fractions, built on each access."""
-        entries = self.counts / self.samples_per_cell
-        entries.setflags(write=False)
-        return entries
-
     def push(self, masses):
-        """Cell masses after one step, ``entries.T @ masses``."""
+        """Cell masses after one step, ``P.T @ masses`` for the fractions ``P``."""
         return np.bincount(
             self.cols, weights=masses[self.rows] * self.values,
             minlength=self.partition.cell_count,
         )
 
     def compose(self, values):
-        """Expected next value per cell, ``entries @ values``."""
+        """Expected next value per cell, ``P @ values``."""
         return np.bincount(
             self.rows, weights=self.values * values[self.cols],
             minlength=self.partition.cell_count,
@@ -576,10 +574,7 @@ def stationary_density(matrix, theta0, tol=1e-10, max_iter=5000, cesaro=False):
     """
     _require_same_grid(matrix, theta0)
     theta0.require_unit_mass()
-    if tol <= 0:
-        raise ConfigurationError(f"tol: must be positive, got {tol!r}")
-    if max_iter < 1:
-        raise ConfigurationError(f"max_iter: must be >= 1, got {max_iter!r}")
+    _check_iteration(tol, max_iter)
 
     vol = theta0.partition.cell_volume
     p = theta0.values * vol

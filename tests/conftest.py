@@ -31,6 +31,18 @@ def destinations_from_counts(counts, samples):
     return table
 
 
+def counts_of(P):
+    """Dense ``(M, M)`` hit counts of a ``UlamMatrix``, from its nonzeros."""
+    dense = np.zeros(P.shape, dtype=np.int64)
+    dense[P.rows, P.cols] = P.hits
+    return dense
+
+
+def entries_of(P):
+    """Dense ``(M, M)`` transition fractions of a ``UlamMatrix``."""
+    return counts_of(P) / P.samples_per_cell
+
+
 def two_channel_system(a=0.0):
     return MultiChannelSystem(
         A=np.array([[a]]), B=(np.array([[1.0]]), np.array([[1.0]]))

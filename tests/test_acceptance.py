@@ -46,6 +46,8 @@ from entrogame import (
 )
 from entrogame.cli import main as cli_main
 from conftest import (
+    counts_of,
+    entries_of,
     line_partition,
     scalar_profile,
     scalar_system,
@@ -105,7 +107,7 @@ def test_acceptance_02_push_forward_is_exactly_linear_and_positive(capsys):
     part, P, _, _ = half_turn_operator()
     ok = bool(
         np.array_equal(
-            P.counts.sum(axis=1) + P.escaped, np.full(64, 9, dtype=np.int64)
+            counts_of(P).sum(axis=1) + P.escaped, np.full(64, 9, dtype=np.int64)
         )
     )
     rng = np.random.default_rng(7)
@@ -126,7 +128,7 @@ def test_acceptance_02_push_forward_is_exactly_linear_and_positive(capsys):
     Pc = build_ulam(line, flow_map(scalar_system(), scalar_profile(-0.8), 0.0, 1.0, 200), 8)
     ok = ok and bool(
         np.array_equal(
-            Pc.counts.sum(axis=1) + Pc.escaped, np.full(64, 8, dtype=np.int64)
+            counts_of(Pc).sum(axis=1) + Pc.escaped, np.full(64, 8, dtype=np.int64)
         )
     )
     for _ in range(100):
@@ -244,7 +246,7 @@ def test_acceptance_08_best_response_equilibrium_is_the_exhaustive_one(capsys):
                 for t in cfg.time_grid:
                     fm = flow_map(system, space.profile([i, j]), 0.0, t, 200)
                     P = build_ulam(part, fm, 8, leak_tol=cfg.leak_tol)
-                    m = P.entries.T @ (cfg.theta_ref.values * vol)
+                    m = entries_of(P).T @ (cfg.theta_ref.values * vol)
                     m /= m.sum()
                     dens = m / vol
                     mask = dens > 0
@@ -315,10 +317,10 @@ def test_acceptance_09_contraction_factor_estimates(capsys):
     vol = line.cell_volume
     kappa = -np.inf
     for t in c_cfg.time_grid:
-        P_t = build_ulam(line, flow_map(c_system, c_profile, 0.0, t, 200), 8)
+        P_t = entries_of(build_ulam(line, flow_map(c_system, c_profile, 0.0, t, 200), 8))
         for a, b in pairs:
             num = float(
-                np.abs(P_t.entries.T @ (a.values * vol) - P_t.entries.T @ (b.values * vol)).sum()
+                np.abs(P_t.T @ (a.values * vol) - P_t.T @ (b.values * vol)).sum()
             )
             kappa = max(kappa, num / l1_distance(a, b))
     ok = ok and abs(est.kappa - kappa) <= 1e-9

@@ -13,7 +13,7 @@ from entrogame.artifacts import (
     write_json,
     write_ulam,
 )
-from conftest import line_partition, tilted_density
+from conftest import counts_of, entries_of, line_partition, tilted_density
 
 
 def test_float_format_round_trips_exactly():
@@ -149,9 +149,9 @@ def test_ulam_export_is_sparse_and_annotated(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "row,col,value"
     triplets = [line.split(",") for line in lines[1:]]
-    assert len(triplets) == np.count_nonzero(P.counts)
+    assert len(triplets) == np.count_nonzero(counts_of(P))
     for r, c, v in triplets:
-        assert float(v) == P.entries[int(r), int(c)]
+        assert float(v) == entries_of(P)[int(r), int(c)]
     meta = json.loads(sidecar_path(path).read_text())
     assert meta["kind"] == "ulam"
     assert meta["samples_per_cell"] == 4

@@ -15,10 +15,15 @@ from entrogame import (
     NoiseSpec,
     Partition,
     SdePathConfig,
+    UlamMatrix,
+    build_ulam,
+    flow_map,
     resilience_report,
+    stationary_density,
 )
 from entrogame.artifacts import read_density, write_density
 from entrogame.cli import main
+from entrogame.config import parse_scenario
 from conftest import line_partition, tilted_density
 
 
@@ -133,6 +138,42 @@ def test_stationary_solves_and_reports(tmp_path, capsys):
     assert report["residual"] == 0.0
     assert report["mass"] == pytest.approx(1.0, abs=1e-12)
     assert "stationary solve" in capsys.readouterr().out
+
+
+def test_cesaro_stationary_writes_the_direct_solve(tmp_path):
+    raw = scenario_dict()
+    del raw["game"]
+    del raw["perturb"]
+    raw["system"]["channels"][1]["gains"] = [[0.25]]
+    raw["stationary"] = {"tol": 1e-6, "cesaro": True}
+    rc, out, _ = run(tmp_path, "stationary", raw)
+    assert rc == 0
+    sc = parse_scenario(raw)
+    P = build_ulam(
+        sc.partition, flow_map(sc.system, sc.profile, 0.0, 1.0, 200), 4, leak_tol=0.05
+    )
+    uniform = DensityVector.uniform(sc.partition)
+    direct = stationary_density(P, uniform, tol=1e-6, cesaro=True)
+    write_density(direct.density, tmp_path / "direct.csv")
+    written = (out / "stationary_density.csv").read_bytes()
+    assert written == (tmp_path / "direct.csv").read_bytes()
+    assert json.loads((out / "stationary.json").read_text())["iterations"] == direct.iterations
+    # The plain iteration stops elsewhere, so the flag reached the solve.
+    plain = stationary_density(P, uniform, tol=1e-6)
+    assert not np.array_equal(plain.density.values, direct.density.values)
+
+
+@pytest.mark.parametrize("command", ["ulam", "stationary"])
+def test_a_leaking_grid_operator_exits_3_naming_the_profile(tmp_path, capsys, command):
+    raw = scenario_dict()
+    raw["system"]["channels"][0]["gains"] = [[0.5]]  # x' = x leaves the box
+    rc, out, _ = run(tmp_path, command, raw)
+    assert rc == 3
+    err = capsys.readouterr().err
+    profile = parse_scenario(raw).profile.hash_hex()
+    assert err.startswith(f"numerical rejection: profile {profile} at t=1: cell ")
+    assert "leaks" in err
+    assert not any(out.glob("*.csv"))
 
 
 def test_entropy_trace_artifacts(tmp_path):
@@ -411,6 +452,12 @@ def _path_config(**fields):
     return SdePathConfig(**{"h": 0.01, "n_steps": 100, "n_paths": 200, "seed": 42, **fields})
 
 
+def _identity_solve(**settings):
+    part = line_partition(16)
+    P = build_ulam(part, lambda p: p, 4)
+    return stationary_density(P, DensityVector.uniform(part), **settings)
+
+
 @pytest.mark.parametrize(
     "where, value, build",
     [
@@ -429,6 +476,13 @@ def _path_config(**fields):
         ("domain.upper", [-2.0], lambda v: Partition([-1.0], v, [16])),
         ("domain.upper", [1.0, 2.0], lambda v: Partition([-1.0], v, [16])),
         ("domain.cells_per_axis", [0], lambda v: Partition([-1.0], [1.0], v)),
+        (
+            "domain.leak_tol",
+            1.5,
+            lambda v: UlamMatrix(line_partition(16), np.zeros((16, 4), dtype=int), leak_tol=v),
+        ),
+        ("stationary.tol", -1.0, lambda v: _identity_solve(tol=v)),
+        ("stationary.max_iter", 0, lambda v: _identity_solve(max_iter=v)),
         ("--kl-floor", -1.0, lambda v: resilience_report(*[None] * 5, (), kl_floor=v)),
         ("--kl-floor", float("nan"), lambda v: resilience_report(*[None] * 5, (), kl_floor=v)),
     ],
@@ -445,7 +499,7 @@ def test_each_input_rule_reads_the_same_from_the_api_and_the_cli(
     else:
         raw = scenario_dict()
         block, field = where.split(".")
-        raw[block][field] = value
+        raw.setdefault(block, {})[field] = value
         # The whole file is checked at load, so every subcommand refuses it.
         rc, _, _ = run(tmp_path, "ulam", raw)
         expected = f"{block}.{api.value}"

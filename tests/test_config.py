@@ -226,6 +226,14 @@ def test_reference_density_from_file(tmp_path):
             r"stationary\.cesaro: expected true or false, got int",
         ),
         (
+            lambda r: r.__setitem__("stationary", {"tol": 0}),
+            r"stationary\.tol: must be positive, got 0\.0",
+        ),
+        (
+            lambda r: r.__setitem__("stationary", {"max_iter": 0}),
+            r"stationary\.max_iter: must be >= 1, got 0",
+        ),
+        (
             lambda r: r.__setitem__("stationary", [1]),
             r"scenario\.stationary: expected dict, got list",
         ),

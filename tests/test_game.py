@@ -26,6 +26,7 @@ from entrogame import (
     verify_equilibrium,
 )
 from conftest import (
+    entries_of,
     line_partition,
     scalar_profile,
     scalar_system,
@@ -49,7 +50,7 @@ def manual_worst_score(system, profile, cfg):
     for t in cfg.time_grid:
         fm = flow_map(system, profile, 0.0, float(t), cfg.integration_steps)
         P = build_ulam(part, fm, cfg.samples_per_cell, leak_tol=cfg.leak_tol)
-        m = P.entries.T @ (cfg.theta_ref.values * vol)
+        m = entries_of(P).T @ (cfg.theta_ref.values * vol)
         m = m / m.sum()
         dens = m / vol
         mask = dens > 0
@@ -363,7 +364,7 @@ def test_contraction_estimate_matches_dense_recomputation():
     for t in cfg.time_grid:
         fm = flow_map(system, profile, 0.0, float(t), cfg.integration_steps)
         P = build_ulam(part, fm, 8)
-        push = lambda dv: P.entries.T @ (dv.values * vol)
+        push = lambda dv: entries_of(P).T @ (dv.values * vol)
         drift = max(drift, float(np.abs(push(theta0) - theta0.values * vol).sum()))
         for a, b in pairs:
             num = float(np.abs(push(a) - push(b)).sum())
@@ -487,8 +488,9 @@ def test_game_config_validation():
         GameConfig(time_grid=(0.0, 1.0), theta_ref=theta, samples_per_cell=4)
     with pytest.raises(ConfigurationError, match="time_grid"):
         GameConfig(time_grid=(1.0, 1.0), theta_ref=theta, samples_per_cell=4)
-    with pytest.raises(ConfigurationError, match="tol"):
-        GameConfig(time_grid=(1.0,), theta_ref=theta, samples_per_cell=4, tol=0.0)
+    for tol in (0.0, float("nan")):
+        with pytest.raises(ConfigurationError, match="tol"):
+            GameConfig(time_grid=(1.0,), theta_ref=theta, samples_per_cell=4, tol=tol)
     with pytest.raises(ConfigurationError, match="max_rounds"):
         GameConfig(
             time_grid=(1.0,), theta_ref=theta, samples_per_cell=4, max_rounds=0

@@ -25,7 +25,7 @@ from entrogame import (
     SdePathConfig,
     build_stochastic_ulam,
 )
-from conftest import line_partition, start_offsets, step_drifts
+from conftest import counts_of, line_partition, start_offsets, step_drifts
 
 # Family-wise threshold over the builds below (Bonferroni), fixed with the
 # seeds before the first run.
@@ -55,7 +55,7 @@ def pearson(P, system, profile, eps, sigma, t, path_cfg):
     starts = corners[:, None] + start_offsets(part, path_cfg.n_paths)[:, 0]
     cdf = stats.norm.cdf(edges, loc=(starts * factor)[:, :, None], scale=np.sqrt(var))
     expected = np.diff(cdf, axis=2).sum(axis=1)
-    observed = P.counts.astype(float)
+    observed = counts_of(P).astype(float)
     x2, dof = 0.0, 0
     for e_row, o_row in zip(expected, observed):
         big = e_row >= MIN_EXPECTED

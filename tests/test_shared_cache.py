@@ -6,6 +6,7 @@ work done: every field of both results equals the one computed with a
 fresh cache per call, leakage rejections included.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -191,17 +192,19 @@ def test_stationary_is_memoised_but_non_convergence_is_not(monkeypatch):
     )
     system = scalar_system()
     profile = scalar_profile(-0.5)
-    cache = OperatorCache(system, sum_zero_config())
-    first = cache.stationary(profile, 1.0)
-    assert cache.stationary(profile, 1.0) is first
+    cfg = sum_zero_config()
+    settings = (cfg.theta_ref, cfg.stationary_tol)
+    cache = OperatorCache(system, cfg)
+    first = cache.stationary(profile, 1.0, *settings, cfg.stationary_max_iter)
+    assert cache.stationary(profile, 1.0, *settings, cfg.stationary_max_iter) is first
     assert len(solves) == 1
-    cache.stationary(profile, 0.5)
+    cache.stationary(profile, 0.5, *settings, cfg.stationary_max_iter)
     assert len(solves) == 2
 
     stubborn = OperatorCache(system, sum_zero_config(stationary_max_iter=1))
     for _ in range(2):
         with pytest.raises(NonConvergenceError):
-            stubborn.stationary(profile, 1.0)
+            stubborn.stationary(profile, 1.0, *settings, 1)
     assert len(solves) == 4
 
 
@@ -211,8 +214,11 @@ def test_a_cache_bound_elsewhere_is_refused():
     cfg = sum_zero_config()
     start = space.profile([0, 0])
     for cache in (
-        OperatorCache(system, sum_zero_config()),
         OperatorCache(two_channel_system(), cfg),
+        OperatorCache(system, sum_zero_config(cells=32)),
+        OperatorCache(system, dataclasses.replace(cfg, samples_per_cell=4)),
+        OperatorCache(system, sum_zero_config(leak_tol=0.2)),
+        OperatorCache(system, sum_zero_config(integration_steps=100)),
     ):
         with pytest.raises(ConfigurationError, match="cache"):
             find_equilibrium(system, space, cfg, start, cache=cache)
@@ -222,3 +228,34 @@ def test_a_cache_bound_elsewhere_is_refused():
             criterion(system, start, cfg, cache)
         with pytest.raises(ConfigurationError, match="cache"):
             best_response(system, start, 1, space, cfg, cache)
+
+
+def test_a_cache_bound_to_equal_build_values_is_shared():
+    # The cache is bound by value: a config with the same build values and
+    # reference but another time grid and solver settings shares it, and
+    # every memo keys on what its result depends on, so results equal those
+    # of a new cache.
+    system = two_channel_system()
+    space = sum_zero_space()
+    start = space.profile([1, 1])
+    cfg = sum_zero_config()
+    other = dataclasses.replace(cfg, time_grid=(0.25, 1.0), stationary_tol=1e-12)
+    cache = OperatorCache(system, other)
+    find_equilibrium(system, space, other, start, cache=cache)
+    found = find_equilibrium(system, space, cfg, start, cache=cache)
+    report = verify_equilibrium(system, found.profile, space, cfg, cache=cache)
+    assert_same_search(found, find_equilibrium(system, space, cfg, start))
+    assert_same_report(report, verify_equilibrium(system, found.profile, space, cfg))
+    assert np.array_equal(
+        criterion(system, found.profile, cfg, cache), criterion(system, found.profile, cfg)
+    )
+    # One operator solved under three solver settings gives three solves.
+    slow = space.profile([0, 2])
+    settings = [(1e-6, False), (1e-10, False), (1e-6, True)]
+    shared = [cache.stationary(slow, 1.0, cfg.theta_ref, tol, 5000, c) for tol, c in settings]
+    fresh = [
+        OperatorCache(system, cfg).stationary(slow, 1.0, cfg.theta_ref, tol, 5000, c)
+        for tol, c in settings
+    ]
+    assert [s.iterations for s in shared] == [s.iterations for s in fresh]
+    assert len({s.iterations for s in shared}) == 3
