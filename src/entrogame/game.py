@@ -96,13 +96,19 @@ class StrategySpace:
         if not cleaned:
             raise ConfigurationError("candidates: at least one channel is required")
         object.__setattr__(self, "candidates", tuple(cleaned))
+        object.__setattr__(self, "_gains", tuple(
+            tuple(FeedbackGain(j, L) for L in mats) for j, mats in enumerate(cleaned, start=1)
+        ))
 
     @property
     def n_channels(self):
         return len(self.candidates)
 
     def gain(self, channel, index):
-        return FeedbackGain(channel, self.candidates[channel - 1][index])
+        """The :class:`FeedbackGain` of a candidate, built once with the space."""
+        if not 1 <= channel <= len(self._gains):
+            raise ConfigurationError(f"channel: {channel} outside 1..{len(self._gains)}")
+        return self._gains[channel - 1][index]
 
     def index_of(self, channel, L):
         """Index of a gain matrix in a channel's list, or None."""
@@ -318,7 +324,7 @@ def _unilateral_deviations(profile, space):
         current = profile.gain(j).L
         for k, L in enumerate(space.candidates[j - 1]):
             if not np.array_equal(L, current):
-                deviations.append((j, k, profile.replaced(j, L)))
+                deviations.append((j, k, profile.replaced(j, space.gain(j, k))))
     return deviations
 
 
@@ -327,9 +333,9 @@ def _best_response_index(system, profile, channel, space, cfg, cache):
     best_k = None
     best_obj = None
     rejections = []
-    for k, L in enumerate(space.candidates[channel - 1]):
+    for k in range(len(space.candidates[channel - 1])):
         vec, why = _screened_criterion(
-            system, profile.replaced(channel, L), space, cfg, cache
+            system, profile.replaced(channel, space.gain(channel, k)), space, cfg, cache
         )
         if why is not None:
             rejections.append((k, why))

@@ -188,7 +188,10 @@ class FeedbackGain:
 
 @dataclass(frozen=True, eq=False)
 class FeedbackProfile:
-    """One feedback gain per channel, covering channels 1..N exactly once."""
+    """One feedback gain per channel, covering channels 1..N exactly once.
+
+    The gains are read-only, so the cache key is formed once, here.
+    """
 
     gains: tuple
 
@@ -201,7 +204,11 @@ class FeedbackProfile:
             raise ConfigurationError(
                 f"gains: channels must cover 1..{len(gains)} exactly once, got {seen}"
             )
-        object.__setattr__(self, "gains", tuple(sorted(gains, key=lambda g: g.channel)))
+        gains = tuple(sorted(gains, key=lambda g: g.channel))
+        object.__setattr__(self, "gains", gains)
+        object.__setattr__(self, "_key", b"".join(
+            np.int64(g.channel).tobytes() + np.ascontiguousarray(g.L).tobytes() for g in gains
+        ))
 
     @property
     def n_channels(self):
@@ -230,11 +237,7 @@ class FeedbackProfile:
 
     def key(self):
         """Byte string identifying the profile, usable as a cache key."""
-        parts = []
-        for g in self.gains:
-            parts.append(np.int64(g.channel).tobytes())
-            parts.append(np.ascontiguousarray(g.L).tobytes())
-        return b"".join(parts)
+        return self._key
 
     def hash_hex(self):
         return hashlib.sha1(self.key()).hexdigest()[:12]
@@ -272,6 +275,11 @@ def _check_profile(system, profile):
 def closed_loop_matrix(system, profile, t=0.0):
     """Closed-loop drift ``A(t) + sum_j B_j(t) L_j`` at time ``t``."""
     _check_profile(system, profile)
+    return _closed_loop(system, profile, t)
+
+
+def _closed_loop(system, profile, t):
+    """:func:`closed_loop_matrix` for a profile already checked against ``system``."""
     A_t, B_t = system.coefficients_at(t)
     M = A_t.copy()
     for b, gain in zip(B_t, profile.gains):
@@ -341,7 +349,7 @@ def integrate_transition(system, profile, t0, t1, steps):
     done = 0
     for a, b in _segments(system, t0, t1):
         n = max(1, int(math.ceil(steps * (b - a) / total)))
-        hM = ((b - a) / n) * closed_loop_matrix(system, profile, a)
+        hM = ((b - a) / n) * _closed_loop(system, profile, a)
         T = I + hM @ (I + hM @ (I + hM @ (I + hM / 4.0) / 3.0) / 2.0)
         with np.errstate(over="ignore", invalid="ignore"):
             powered = np.linalg.matrix_power(T, n) @ Phi

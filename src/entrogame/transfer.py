@@ -18,7 +18,10 @@ Horner's rule.
 Every operator, deterministic or stochastic, is a table of where each
 cell's samples landed, handed to :class:`UlamMatrix`: it holds the one leak
 gate and counts the distinct ``(row, destination)`` keys into compressed
-sparse row form.  No ``M x M`` array is formed on any production path.
+sparse row form.  The keys ``i * M + destination`` arrive grouped by
+ascending row, so one stable sort (timsort, which merges such runs cheaply)
+orders them, and each run of equal keys is one nonzero whose length is its
+hit count.  No ``M x M`` array is formed on any production path.
 
 The matrix acts in two dual ways: on densities (push-forward, transposed
 action on cell masses) and on observables (composition, plain action).
@@ -131,7 +134,7 @@ class Partition:
         return float(np.prod(self.upper - self.lower))
 
     def matches(self, other):
-        return (
+        return other is self or (
             isinstance(other, Partition)
             and np.array_equal(self.lower, other.lower)
             and np.array_equal(self.upper, other.upper)
@@ -192,7 +195,9 @@ class Partition:
             x /= w
             np.floor(x, out=x)
             idx = x.astype(np.int64)
-            np.clip(idx, 0, n - 1, out=idx)
+            # Only points outside the box index below 0, and they end as -1;
+            # the closed upper face indexes n.
+            np.minimum(idx, n - 1, out=idx)
             if k == 0:
                 inside, flat = ok, idx
             else:
@@ -230,7 +235,7 @@ class DensityVector:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
-    @property
+    @cached_property
     def mass(self):
         return float(self.values.sum() * self.partition.cell_volume)
 
@@ -294,8 +299,9 @@ class UlamMatrix:
 
     Nonzero ``k`` says that ``hits[k]`` of the ``samples_per_cell`` samples
     of cell ``rows[k]`` landed in cell ``cols[k]``; ``values[k]`` is that
-    fraction.  One ``np.unique`` over the keys ``i * M + destination`` orders
-    them row-major with ascending columns.  ``escaped[i]`` counts the
+    fraction.  A stable sort of the row-grouped keys ``i * M + destination``
+    orders them row-major with ascending columns; each run of equal keys is
+    one nonzero, and its length is ``hits[k]``.  ``escaped[i]`` counts the
     cell-``i`` samples that left the box; ``leakage`` is that fraction.
     """
 
@@ -344,7 +350,15 @@ class UlamMatrix:
                 leakage=float(worst_leak),
             )
         keys = (np.arange(M, dtype=np.int64)[:, None] * M + dest)[inside]
-        keys, hits = np.unique(keys, return_counts=True)
+        keys.sort(kind="stable")
+        n = keys.shape[0]
+        # change[k]: a run of equal keys starts at k; change[n] ends the last.
+        change = np.ones(n + 1, dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=change[1:n])
+        bounds = change.nonzero()[0]
+        first = bounds[:-1]
+        rows, cols = np.divmod(keys[first], M)
+        hits = bounds[1:] - first
         fields = {
             "partition": partition,
             "samples_per_cell": S,
@@ -352,8 +366,8 @@ class UlamMatrix:
             "t0": t0,
             "t1": t1,
             "flow_id": flow_id,
-            "rows": keys // M,
-            "cols": keys % M,
+            "rows": rows,
+            "cols": cols,
             "hits": hits,
             "values": hits / S,
             "escaped": escaped,

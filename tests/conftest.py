@@ -38,6 +38,17 @@ def counts_of(P):
     return dense
 
 
+def reference_ulam_counts(destinations, M):
+    """``UlamMatrix``'s counts as first written: one ``np.unique`` over the
+    keys ``i * M + destination`` of the samples left in the box.  Returns
+    ``(rows, cols, hits, escaped)``."""
+    dest = np.asarray(destinations).astype(np.int64)
+    inside = dest >= 0
+    keys = (np.arange(M, dtype=np.int64)[:, None] * M + dest)[inside]
+    keys, hits = np.unique(keys, return_counts=True)
+    return keys // M, keys % M, hits, dest.shape[1] - inside.sum(axis=1)
+
+
 def entries_of(P):
     """Dense ``(M, M)`` transition fractions of a ``UlamMatrix``."""
     return counts_of(P) / P.samples_per_cell

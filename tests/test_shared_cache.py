@@ -14,6 +14,7 @@ import pytest
 
 import entrogame.cli as cli_mod
 import entrogame.game as game_mod
+import entrogame.transfer as transfer_mod
 from entrogame import (
     ConfigurationError,
     NonConvergenceError,
@@ -182,6 +183,35 @@ def test_cli_equilibrium_builds_each_operator_and_solves_once(tmp_path, monkeypa
     assert len(pushes) == len(built_keys) < len(keys)
     # A caller cannot write into the memo through criterion's result.
     assert scores and not any(vec.flags.writeable for vec in scores)
+
+
+def test_search_and_verification_construct_each_operator_once(tmp_path, monkeypatch):
+    requested = set()
+    flows = []
+    operator = game_mod.OperatorCache.operator
+    construct = transfer_mod.UlamMatrix.__init__
+
+    def keyed_operator(self, profile, t):
+        requested.add((profile.key(), float(t)))
+        return operator(self, profile, t)
+
+    def counted_construct(self, partition, destinations, *args, **kwargs):
+        flows.append(kwargs["flow_id"])
+        construct(self, partition, destinations, *args, **kwargs)
+
+    monkeypatch.setattr(game_mod.OperatorCache, "operator", keyed_operator)
+    monkeypatch.setattr(transfer_mod.UlamMatrix, "__init__", counted_construct)
+    _, scenario = load(tmp_path, bench_style_game(4))
+    space = scenario.strategy_space()
+    cfg = scenario.game_config()
+    assert [len(c) for c in space.candidates] == [3, 3, 3] and len(cfg.time_grid) == 3
+    cache = OperatorCache(scenario.system, cfg)
+    found = find_equilibrium(scenario.system, space, cfg, scenario.profile, cache=cache)
+    verify_equilibrium(scenario.system, found.profile, space, cfg, cache=cache)
+    # Each distinct (profile, t) is constructed exactly once: the flow id
+    # names the profile hash and the time.
+    assert len(flows) == len(set(flows)) == len(requested)
+    assert len(requested) == 3 * len({key for key, _ in requested})
 
 
 def test_stationary_is_memoised_but_non_convergence_is_not(monkeypatch):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entrogame import (
@@ -25,7 +25,14 @@ from entrogame import (
     build_ulam,
 )
 from entrogame.artifacts import write_csv, write_ulam
-from conftest import counts_of, entries_of, line_partition, scalar_profile, scalar_system
+from conftest import (
+    counts_of,
+    entries_of,
+    line_partition,
+    reference_ulam_counts,
+    scalar_profile,
+    scalar_system,
+)
 
 
 def dense_counts(partition, images, samples):
@@ -133,6 +140,36 @@ def test_destination_table_counts_every_sample():
             assert getattr(Q, name).dtype == getattr(P, name).dtype, name
     Q = UlamMatrix(part, np.where(table < 0, 0, table).astype(np.uint16))
     assert np.array_equal(Q.escaped, [0, 0, 0])
+
+
+@st.composite
+def destination_tables(draw):
+    """Random ``(M, S)`` tables with escapes, repeats and whole rows lost."""
+    M = draw(st.integers(1, 12))
+    S = draw(st.integers(1, 9))
+    entries = draw(st.lists(st.integers(-1, M - 1), min_size=M * S, max_size=M * S))
+    table = np.array(entries, dtype=np.int64).reshape(M, S)
+    for i in draw(st.lists(st.integers(0, M - 1), max_size=2)):
+        table[i] = -1
+    return table
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=destination_tables())
+@example(table=np.full((3, 2), -1))
+@example(table=np.array([[0]]))
+@example(table=np.array([[-1]]))
+@example(table=np.array([[0, -1, 0, 0]]))
+@example(table=np.array([[2], [-1], [0]]))
+def test_sorted_counts_equal_the_unique_reference(table):
+    # leak_tol=1 admits every table, the all-escaped one (no nonzeros) too.
+    P = UlamMatrix(line_partition(table.shape[0]), table, leak_tol=1.0)
+    expected = reference_ulam_counts(table, table.shape[0])
+    for name, want in zip(("rows", "cols", "hits", "escaped"), expected):
+        got = getattr(P, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    if (table < 0).all():
+        assert P.rows.size == 0
 
 
 @pytest.mark.parametrize(

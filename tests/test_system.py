@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -10,6 +12,7 @@ from entrogame import (
     FeedbackProfile,
     MultiChannelSystem,
     ScheduleSegment,
+    StrategySpace,
     closed_loop_matrix,
     decompose_transition,
     flow_map,
@@ -147,6 +150,35 @@ def test_profile_replaced_and_key():
     # Same content gives the same key.
     again = profile.replaced(1, profile.gain(1).L)
     assert again.key() == profile.key()
+
+
+def test_profile_key_is_the_bytes_of_its_gains_however_it_was_made():
+    space = StrategySpace(
+        (
+            [np.array([[0.5, -1.0], [2.0, 0.25]]), np.eye(2)],
+            [np.array([[-0.3, 0.1]]), np.array([[1e-300, -0.0]])],
+        )
+    )
+    made = space.profile([1, 0])
+    profiles = [
+        made,
+        made.replaced(2, np.array([[7.0, -8.0]])),
+        made.replaced(1, np.asfortranarray([[1.0, 2.0], [3.0, 4.0]])),
+        made.replaced(2, space.gain(2, 1)),
+        made.replaced(1, FeedbackGain(1, np.array([[0.0, 1.0], [1.0, 0.0]]).T)),
+    ]
+    for profile in profiles:
+        rebuilt = b"".join(
+            np.int64(g.channel).tobytes() + np.ascontiguousarray(g.L).tobytes()
+            for g in profile.gains
+        )
+        assert profile.key() == rebuilt
+        assert profile.hash_hex() == hashlib.sha1(rebuilt).hexdigest()[:12]
+        # The key is formed once, so the gains it was formed from cannot change.
+        for g in profile.gains:
+            with pytest.raises(ValueError, match="read-only"):
+                g.L[0, 0] = 1.0
+    assert made.replaced(2, space.gain(2, 1)).gain(2) is space.gain(2, 1)
 
 
 def test_decomposition_on_commuting_diagonal_system():
