@@ -176,38 +176,47 @@ def write_density(theta, csv_path, provenance=None):
     return Path(csv_path)
 
 
-def read_density(csv_path):
-    """Read a density written by :func:`write_density`.
+# numpy's C parser sees a density body only when it holds nothing but these
+# bytes.  Elsewhere it and int()/float() part ways (numpy 2.4.6): its int64
+# parser reads some non-ASCII letters as digits, it takes "\x1f" for a space,
+# and it refuses "1_0" and non-ASCII digits, which int()/float() accept.
+# Within these bytes a field the parser accepts is one int()/float() accepts,
+# with the same value.
+_NUMBER_BYTES = b"0123456789+-.eE,\t \n"
+_DENSITY_DTYPE = np.dtype([("cell_index", np.int64), ("value", np.float64)])
 
-    Rejects negative values (naming the row) and total mass deviating from
-    one by more than 1e-6; no silent fixups are applied.
-    """
-    csv_path = Path(csv_path)
-    side = sidecar_path(csv_path)
-    try:
-        meta = json.loads(side.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigurationError(f"density: cannot read sidecar {side}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"density: invalid sidecar JSON {side}: {exc}") from exc
-    try:
-        part = meta["partition"]
-        partition = Partition(part["lower"], part["upper"], part["cells_per_axis"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigurationError(f"density: sidecar {side} lacks a partition block") from exc
 
-    try:
-        lines = csv_path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise ConfigurationError(f"density: cannot read {csv_path}: {exc}") from exc
-    if not lines or lines[0] != "cell_index,value":
-        raise ConfigurationError(
-            f"density: {csv_path} must start with the header 'cell_index,value'"
-        )
-    cell_count = partition.cell_count
+def _density_columns(body_text, body, cell_count):
+    """``(values, seen)`` from numpy's C parser, or ``None`` when the row
+    loop must decide: the body holds other bytes, the parser raises or
+    warns, or any row fails a check.  ``body`` is ``body_text`` split into
+    lines."""
+    import warnings
+
+    if not body_text.isascii() or body_text.encode().translate(None, _NUMBER_BYTES):
+        return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            table = np.loadtxt(body, dtype=_DENSITY_DTYPE, delimiter=",", comments=None, ndmin=1)
+        except (ValueError, OverflowError, Warning):  # an empty body warns
+            return None
+    idx, vals = table["cell_index"], table["value"]
+    if idx.min() < 0 or idx.max() >= cell_count:
+        return None
+    hits = np.bincount(idx, minlength=cell_count)
+    if hits.max() > 1 or not np.isfinite(vals).all() or (vals < 0).any():
+        return None
+    values = np.zeros(cell_count)
+    values[idx] = vals
+    return values, hits.astype(bool)
+
+
+def _density_rows(body, cell_count):
+    """Parse density rows one at a time, raising at the first bad row."""
     values = np.zeros(cell_count)
     seen = np.zeros(cell_count, dtype=bool)
-    for n, line in enumerate(lines[1:], start=2):
+    for n, line in enumerate(body, start=2):
         if not line:
             continue
         parts = line.split(",")
@@ -230,6 +239,48 @@ def read_density(csv_path):
             raise ConfigurationError(f"density: row {n}: negative value {val!r}")
         seen[idx] = True
         values[idx] = val
+    return values, seen
+
+
+def read_density(csv_path):
+    """Read a density written by :func:`write_density`.
+
+    Rejects negative values (naming the row) and total mass deviating from
+    one by more than 1e-6; no silent fixups are applied.  The body is parsed
+    by numpy's C parser and checked column by column; any file that parse
+    does not take whole goes through the row loop, which names the first
+    bad row.
+    """
+    csv_path = Path(csv_path)
+    side = sidecar_path(csv_path)
+    try:
+        meta = json.loads(side.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"density: cannot read sidecar {side}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(f"density: invalid sidecar JSON {side}: {exc}") from exc
+    try:
+        part = meta["partition"]
+        partition = Partition(part["lower"], part["upper"], part["cells_per_axis"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigurationError(f"density: sidecar {side} lacks a partition block") from exc
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"density: sidecar {side}: {exc}") from exc
+
+    header = "cell_index,value"
+    try:
+        text = csv_path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"density: cannot read {csv_path}: {exc}") from exc
+    lines = text.splitlines()
+    if not lines or lines[0] != header:
+        raise ConfigurationError(
+            f"density: {csv_path} must start with the header '{header}'"
+        )
+    cell_count = partition.cell_count
+    body = lines[1:]
+    parsed = _density_columns(text[len(header):], body, cell_count)
+    values, seen = _density_rows(body, cell_count) if parsed is None else parsed
     if not seen.all():
         missing = int(np.argmin(seen))
         raise ConfigurationError(f"density: cell_index {missing} missing from {csv_path}")

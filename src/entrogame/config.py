@@ -367,6 +367,6 @@ def load_scenario(path):
         raise ConfigurationError(f"config: cannot read {p}: {exc}") from exc
     try:
         raw = json.loads(data)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"config: invalid JSON in {p}: {exc}") from exc
     return parse_scenario(raw, config_sha256=hashlib.sha256(data).hexdigest())

@@ -4,6 +4,7 @@
 import csv
 import io
 import json
+import random
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,18 +12,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import entrogame.artifacts as artifacts_mod
 from entrogame import DensityVector, Partition
 from entrogame.errors import ConfigurationError
 from entrogame.artifacts import (
     _json_text,
     _jsonable,
     read_density,
+    sidecar_path,
     write_csv,
     write_density,
     write_json,
     write_ulam,
 )
-from conftest import line_partition
+from conftest import line_partition, reference_read_density
 
 SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e308, np.inf, -np.inf, np.nan, 1.0 / 3.0]
 
@@ -194,6 +197,136 @@ def test_read_density_names_the_first_bad_row(tmp_path, name):
     with pytest.raises(ConfigurationError) as info:
         read_density(path)
     assert str(info.value) == "density: " + message.format(path=path)
+
+
+ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+
+
+def _field_edit(edit_index=None, edit_value=None):
+    def edit(row, k):
+        i, v = row.split(",")
+        return f"{edit_index(i) if edit_index else i},{edit_value(v) if edit_value else v}"
+    return edit
+
+
+def _insert(char):
+    return lambda row, k: row[: k % (len(row) + 1)] + char + row[k % (len(row) + 1):]
+
+
+# Edits of one data row ``i,v``; ``k`` picks a position inside the row.
+ROW_EDITS = {
+    "spaces and tabs": _field_edit(lambda i: f" \t{i} ", lambda v: f"\t {v}\t"),
+    "underscore index": _field_edit(lambda i: f"0_{i}"),
+    "underscore value": _field_edit(edit_value=lambda v: f"0_{v}"),
+    "arabic-indic index": _field_edit(lambda i: i.translate(ARABIC_INDIC)),
+    "arabic-indic value": _field_edit(edit_value=lambda v: v.translate(ARABIC_INDIC)),
+    "plus index": _field_edit(lambda i: f"+{i}"),
+    "float index": _field_edit(lambda i: f"{i}.0"),
+    "30-digit index": _field_edit(lambda i: i.zfill(30)),
+    "huge index": _field_edit(lambda i: "1" * 30),
+    "empty index": _field_edit(lambda i: ""),
+    "empty value": _field_edit(edit_value=lambda v: ""),
+    "nan": _field_edit(edit_value=lambda v: "nan"),
+    "inf": _field_edit(edit_value=lambda v: "inf"),
+    "negative zero": _field_edit(edit_value=lambda v: "-0.0"),
+    "1e400": _field_edit(edit_value=lambda v: "1e400"),
+    "hash": _insert("#"),
+    "quote": _insert('"'),
+    "vertical tab": _insert("\x0b"),
+    "form feed": _insert("\x0c"),
+    "file separator": _insert("\x1c"),
+    "line separator": _insert("\u2028"),
+    "unit separator": _insert("\x1f"),
+    "latin letter": _insert("Ǿ"),
+}
+# Edits of the list of rows; ``k`` picks a row.
+LINE_EDITS = {
+    "blank line": lambda rows, k: rows[: k % (len(rows) + 1)] + [""] + rows[k % (len(rows) + 1):],
+    "whitespace line": lambda rows, k: rows[: k % (len(rows) + 1)] + [" \t "] + rows[k % (len(rows) + 1):],
+    "duplicate row": lambda rows, k: rows + [rows[k % len(rows)]],
+    "dropped row": lambda rows, k: rows[: k % len(rows)] + rows[k % len(rows) + 1:],
+}
+EDITS = sorted(ROW_EDITS) + sorted(LINE_EDITS)
+
+
+def apply_edits(rows, edits):
+    for name, k in edits:
+        if name in LINE_EDITS:
+            rows = LINE_EDITS[name](rows, k) if rows else rows
+        else:
+            at = [n for n, row in enumerate(rows) if row.count(",") == 1]
+            if at:
+                n = at[k % len(at)]
+                rows = rows[:n] + [ROW_EDITS[name](rows[n], k // len(at))] + rows[n + 1:]
+    return rows
+
+
+def outcome(reader, path):
+    try:
+        return "read", reader(path).values.view(np.uint64).tolist()
+    except ConfigurationError as exc:
+        return "refused", str(exc)
+
+
+def edited_density(directory, case, edits, line_end):
+    (dim, n0, n1), raw, rnd, _ = case
+    partition = Partition(np.full(dim, -0.5), np.array([1.5, 0.25][:dim]), np.array([n0, n1][:dim]))
+    values = np.array(raw)
+    if not values.sum() * partition.cell_volume > 1e-200:
+        values[0] += 1.0
+    values = values / (values.sum() * partition.cell_volume)
+    path = directory / "theta.csv"
+    write_density(DensityVector(partition, values), path)
+    header, *rows = path.read_text().splitlines()
+    rnd.shuffle(rows)
+    lines = [header] + apply_edits(rows, edits)
+    path.write_bytes((line_end.join(lines) + line_end).encode("utf-8"))
+    return path
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    densities,
+    st.lists(st.tuples(st.sampled_from(EDITS), st.integers(0, 2**16)), max_size=4),
+    st.sampled_from(["\n", "\r\n"]),
+)
+def test_read_density_agrees_with_the_row_loop(tmp_path_factory, case, edits, line_end):
+    path = edited_density(tmp_path_factory.mktemp("density"), case, edits, line_end)
+    assert outcome(read_density, path) == outcome(reference_read_density, path)
+
+
+@pytest.mark.parametrize("name", EDITS)
+def test_read_density_agrees_with_the_row_loop_on_each_edit(tmp_path, name):
+    case = ((1, 4, 1), [1.0, 2.0, 3.0, 4.0], random.Random(0), False)
+    for k in range(3):
+        path = edited_density(tmp_path, case, [(name, k)], "\n")
+        assert outcome(read_density, path) == outcome(reference_read_density, path)
+
+
+def test_a_written_density_skips_the_row_loop(tmp_path, monkeypatch):
+    # The row loop only names the bad row of a file the column parse refused.
+    part = Partition(np.array([-1.0, -1.0]), np.array([1.0, 1.0]), np.array([6, 5]))
+    path = tmp_path / "theta.csv"
+    theta = DensityVector(part, np.arange(30.0) / (435.0 * part.cell_volume))
+    write_density(theta, path)
+    monkeypatch.setattr(artifacts_mod, "_density_rows", None)
+    assert read_density(path).values.tolist() == theta.values.tolist()
+
+
+@pytest.mark.parametrize("kind", ["csv", "sidecar"])
+def test_read_density_refuses_undecodable_bytes(tmp_path, kind):
+    path = tmp_path / "theta.csv"
+    write_density(DensityVector.uniform(line_partition(4, 0.0, 1.0)), path)
+    bad = path if kind == "csv" else sidecar_path(path)
+    size = bad.stat().st_size
+    bad.write_bytes(bad.read_bytes() + b"\xff")
+    with pytest.raises(ConfigurationError) as info:
+        read_density(path)
+    what = bad if kind == "csv" else f"sidecar {bad}"
+    assert str(info.value) == (
+        f"density: cannot read {what}: 'utf-8' codec can't decode byte 0xff "
+        f"in position {size}: invalid start byte"
+    )
 
 
 def csv_writer_text(row, terminator):

@@ -141,6 +141,20 @@ def test_density_reader_requires_sidecar(tmp_path):
             read_density(path)
 
 
+def test_a_refused_sidecar_partition_names_the_sidecar(tmp_path):
+    path = tmp_path / "theta.csv"
+    write_density(DensityVector.uniform(line_partition(4, 0.0, 1.0)), path)
+    meta = json.loads(sidecar_path(path).read_text())
+    meta["partition"]["cells_per_axis"] = [4.0]
+    sidecar_path(path).write_text(json.dumps(meta))
+    with pytest.raises(ConfigurationError) as info:
+        read_density(path)
+    assert str(info.value) == (
+        f"density: sidecar {sidecar_path(path)}: "
+        "partition: cells_per_axis entries must be integers, got float64"
+    )
+
+
 def test_ulam_export_is_sparse_and_annotated(tmp_path):
     part = line_partition(8, 0.0, 1.0)
     P = build_ulam(part, lambda pts: 0.5 * pts, 4)

@@ -520,3 +520,14 @@ def test_out_directory_defaults_to_the_scenario_block(tmp_path, monkeypatch):
     rc = main(["ulam", "--config", str(cfg)])
     assert rc == 0
     assert (tmp_path / "from_config" / "ulam.csv").exists()
+
+
+def test_undecodable_scenario_bytes_are_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "scn.json"
+    cfg.write_bytes(b'{"system": "\xff"}')
+    rc = main(["ulam", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: config: invalid JSON in {cfg}: 'utf-8' codec can't decode byte 0xff "
+        "in position 12: invalid start byte\n"
+    )
